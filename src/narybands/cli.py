@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+from . import __version__
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -39,8 +40,6 @@ from .reduce import (
     decide_reducible,
     reduction_result_to_doc,
 )
-
-__version__ = "0.1.0"
 
 
 @dataclass

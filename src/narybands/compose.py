@@ -266,7 +266,44 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
 
 @lru_cache(maxsize=None)
 def _semilattice_tables(k: int) -> tuple[OpTable, ...]:
-    return brute_force_bands(k, 2).entries
+    """Every meet table on k labeled elements, sorted by values.
+
+    Removing a maximal element from a finite meet semilattice leaves a
+    meet semilattice, so each table on k elements comes from one on k-1
+    by adding a new maximal element x under some label.  x may sit above
+    any nonempty down-set D such that, for every y, the members of D below
+    y have a greatest one; that one is meet(x, y).  Distinct growths of
+    one table are deduplicated by value tuple.
+    """
+    if k == 1:
+        return (OpTable(2, 1, (0,)),)
+    p = k - 1
+    found = set()
+    for base in _semilattice_tables(p):
+        meet = base.values
+        # below[y] is the down-set of y
+        below = [frozenset(z for z in range(p) if meet[z * p + y] == z) for y in range(p)]
+        for mask in range(1, 1 << p):
+            down = frozenset(z for z in range(p) if mask >> z & 1)
+            if any(not below[y] <= down for y in down):
+                continue
+            tops = []
+            for y in range(p):
+                common = down & below[y]
+                top = next((z for z in common if common <= below[z]), None)
+                if top is None:
+                    break
+                tops.append(top)
+            else:
+                for label in range(k):
+                    new = [i if i < label else i + 1 for i in range(p)]
+                    values = [label] * (k * k)
+                    for a in range(p):
+                        for b in range(p):
+                            values[new[a] * k + new[b]] = new[meet[a * p + b]]
+                        values[label * k + new[a]] = values[new[a] * k + label] = new[tops[a]]
+                    found.add(tuple(values))
+    return tuple(OpTable(2, k, v) for v in sorted(found))
 
 
 def _factor_multisets(order: int, exponent_cap: int, least: int = 2):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -23,6 +24,9 @@ from narybands import (
     relabel,
     table_from_function,
 )
+
+# the package re-exports the function compose under the module's name
+compose_module = importlib.import_module("narybands.compose")
 
 LABELED_N3 = {1: 1, 2: 3, 3: 18, 4: 197}
 ISO_N3 = {1: 1, 2: 2, 3: 4, 4: 14}
@@ -163,16 +167,21 @@ def test_enumerate_counts():
 
 
 def test_enumerate_entries_are_bands(catalog_n3):
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         for t in catalog_n3[m]:
             assert band_violation(t) is None
-    assert all(band_violation(t) is None for t in catalog_n3[4][:20])
 
 
 def test_enumerate_entries_sorted_and_distinct(catalog_n3):
+    # grouped by isomorphism class: classes ordered by their least
+    # relabeling, tables within a class by their own values
     for m in catalog_n3:
-        seen = {t.values for t in catalog_n3[m]}
-        assert len(seen) == len(catalog_n3[m])
+        keys = [
+            (min(relabel(t, p).values for p in itertools.permutations(range(m))), t.values)
+            for t in catalog_n3[m]
+        ]
+        assert keys == sorted(keys)
+        assert len({t.values for t in catalog_n3[m]}) == len(catalog_n3[m])
 
 
 def test_enumerate_up_to_iso():
@@ -194,9 +203,30 @@ def test_enumerate_closed_under_relabeling(catalog_n3):
 
 def test_enumerate_binary_gives_semilattices():
     # at arity 2 the class groups are trivial, so the catalog is exactly
-    # the commutative idempotent associative tables
-    for m in (1, 2, 3, 4):
-        assert enumerate_bands(m, 2).labeled == brute_force_bands(m, 2).labeled
+    # the commutative idempotent associative tables: the generated meet
+    # semilattices composed.  m = 5 is the only size whose oracle run takes
+    # the vectorized filter.
+    labeled = {1: 1, 2: 2, 3: 9, 4: 76, 5: 1065}
+    iso = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15}
+    for m in labeled:
+        grown = compose_module._semilattice_tables(m)
+        catalog = enumerate_bands(m, 2)
+        oracle = brute_force_bands(m, 2)
+        assert len(grown) == catalog.labeled == oracle.labeled == labeled[m]
+        assert catalog.iso == oracle.iso == iso[m]
+        expected = {t.values for t in oracle.entries}
+        assert {t.values for t in grown} == expected
+        assert {t.values for t in catalog.entries} == expected
+
+
+def test_enumerate_does_not_use_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration called brute_force_bands")
+
+    monkeypatch.setattr(compose_module, "brute_force_bands", refuse)
+    compose_module._semilattice_tables.cache_clear()
+    catalog = enumerate_bands(4, 3)
+    assert (catalog.labeled, catalog.iso) == (197, 14)
 
 
 def test_enumerate_validates_input():
@@ -224,9 +254,10 @@ def test_brute_force_respects_budget():
 
 
 def test_brute_force_binary_paths_agree():
-    # size 4 goes through the vectorized filter, size 3 through the plain
-    # product loop; relabeling size-3 results into size-4 tables they must
-    # appear in the bigger catalog
+    # sizes 3 and 4 both take the plain product loop: 3**3 and 4**6 = 4096
+    # candidates are under the vectorized filter's threshold.  Size 5
+    # (5**10 candidates) is the only binary size that takes the vectorized
+    # filter; test_enumerate_binary_gives_semilattices covers it.
     small = brute_force_bands(3, 2)
     assert small.labeled == 9 and small.iso == 2
     big = brute_force_bands(4, 2)
