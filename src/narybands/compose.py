@@ -7,6 +7,7 @@ composing systems and by brute force over symmetric idempotent tables.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +20,9 @@ from .optable import (
     canonical_form,
     check_associative,
     extend,
+    multiset_index,
     relabel,
+    symmetric_table,
 )
 from .structure import (
     ClassGroup,
@@ -173,30 +176,15 @@ def _catalog(m: int, n: int, tables, up_to_iso: bool) -> BandCatalog:
     return BandCatalog(m, n, entries, len(tables), iso)
 
 
-def _multiset_scaffold(m: int, n: int):
-    """(flat index -> multiset id, forced values by id, free multiset ids)."""
-    ms_list = list(itertools.combinations_with_replacement(range(m), n))
-    ms_index = {ms: i for i, ms in enumerate(ms_list)}
-    flat_ms = [
-        ms_index[tuple(sorted(args))] for args in itertools.product(range(m), repeat=n)
-    ]
-    cells = [None] * len(ms_list)
-    free = []
-    for i, ms in enumerate(ms_list):
-        if len(set(ms)) == 1:
-            cells[i] = ms[0]
-        else:
-            free.append(i)
-    return flat_ms, cells, free
-
-
-def _brute_bands_py(m: int, n: int, flat_ms, cells, free) -> list[OpTable]:
+def _brute_bands_py(m: int, n: int) -> list[OpTable]:
+    # one value per argument multiset, constants forced by idempotency
+    cells = [ms[0] if ms[0] == ms[-1] else None for ms in multiset_index(m, n).multisets]
+    free = [i for i, v in enumerate(cells) if v is None]
     out = []
     for assignment in itertools.product(range(m), repeat=len(free)):
-        filled = list(cells)
         for slot, v in zip(free, assignment):
-            filled[slot] = v
-        t = OpTable(n, m, tuple(filled[j] for j in flat_ms))
+            cells[slot] = v
+        t = symmetric_table(n, m, cells)
         if check_associative(t, use_symmetry=True) is None:
             out.append(t)
     return out
@@ -247,11 +235,11 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
     argument multiset, constants forced) filtered by associativity."""
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
-    flat_ms, cells, free = _multiset_scaffold(m, n)
-    total = m ** len(free)
+    free = math.comb(m + n - 1, n) - m
+    total = m**free
     if total > max_candidates:
         raise ResourceError(
-            f"{m}**{len(free)} = {total} candidates exceed the budget {max_candidates}"
+            f"{m}**{free} = {total} candidates exceed the budget {max_candidates}"
         )
     if n == 2 and total > _NP_FILTER_THRESHOLD:
         bands = _brute_bands_binary_np(m)
@@ -260,7 +248,7 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
             raise ResourceError(
                 f"scanning {total} candidates of arity {n} exceeds the scan budget"
             )
-        bands = _brute_bands_py(m, n, flat_ms, cells, free)
+        bands = _brute_bands_py(m, n)
     return _catalog(m, n, bands, up_to_iso=False)
 
 
@@ -304,6 +292,12 @@ def _semilattice_tables(k: int) -> tuple[OpTable, ...]:
                         values[label * k + new[a]] = values[new[a] * k + label] = new[tops[a]]
                     found.add(tuple(values))
     return tuple(OpTable(2, k, v) for v in sorted(found))
+
+
+@lru_cache(maxsize=None)
+def _semilattices(k: int) -> tuple[QuotientSemilattice, ...]:
+    """_semilattice_tables(k), each validated once as a semilattice."""
+    return tuple(QuotientSemilattice(t) for t in _semilattice_tables(k))
 
 
 def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
@@ -447,8 +441,10 @@ def _assemble(arity, classes, q, assign, phi) -> StrongSystem:
 def compose(system: StrongSystem, arity: int | None = None, verify: bool = True) -> OpTable:
     """Glue a strong system back into one operation table.
 
-    Each argument tuple is sent into the meet of its classes through the
-    connecting maps and folded there through the class group.
+    Each argument multiset is sent into the meet of its classes through
+    the connecting maps and folded there through the class group.  The
+    meet is commutative and the groups are Abelian, so the result is
+    symmetric and each multiset is evaluated once.
     """
     n = system.arity if arity is None else arity
     if not isinstance(n, int) or n < 2:
@@ -458,11 +454,10 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
         if report:
             summary = "; ".join(f"{v.code}: {v.message}" for v in report)
             raise DomainError(f"system fails validation: {summary}")
-    m = system.size
     class_of = system.partition.class_of
     meet = system.quotient
-    values = []
-    for args in itertools.product(range(m), repeat=n):
+    orbit = []
+    for args in multiset_index(system.size, n).multisets:
         alpha = class_of[args[0]]
         for a in args[1:]:
             alpha = meet.meet_of(alpha, class_of[a])
@@ -472,8 +467,8 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
             image = system.homs[(class_of[a], alpha)].apply(a)
             p = group.position(image)
             pos = p if pos is None else group.op_position(pos, p)
-        values.append(group.members[pos])
-    return OpTable(n, m, tuple(values))
+        orbit.append(group.members[pos])
+    return symmetric_table(n, system.size, orbit)
 
 
 def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
@@ -495,8 +490,7 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
         if any(not o for o in options):
             continue
         k = len(classes)
-        for meet_table in _semilattice_tables(k):
-            q = QuotientSemilattice(meet_table)
+        for q in _semilattices(k):
             for assign in itertools.product(*options):
                 bases = [entry[1] for entry in assign]
                 for phi in _hom_systems(q, bases, n):

@@ -8,17 +8,21 @@ built out of these tables.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import ConsistencyError, InputError, ResourceError
 
 EXTEND_CELL_BUDGET = 2**28
 CANONICAL_SIZE_LIMIT = 8
 _VECTOR_SCAN_THRESHOLD = 10_000
+# canonical_form relabels symmetric tables in chunks of permutations, each
+# chunk holding at most this many (permutation, multiset, argument) cells
+_RELABEL_CHUNK_CELLS = 2**20
 
 
 @lru_cache(maxsize=None)
@@ -191,13 +195,70 @@ def check_associative(t: OpTable, use_symmetry: bool | None = None) -> Associati
     return _assoc_scan_py(t, starts)
 
 
+class MultisetIndex(NamedTuple):
+    """The argument multisets of an n-ary table on m elements.
+
+    A symmetric table is fixed by its values on the multisets, one per
+    orbit of argument tuples under permutation.  Multisets are numbered in
+    combinations_with_replacement order, which is the flat order of their
+    sorted tuples, and each multiset's sorted tuple is the first of its
+    cells in flat order.  So two symmetric tables compare like their
+    vectors of values on the multisets.
+    """
+
+    multisets: tuple[tuple[int, ...], ...]
+    orbit_of: "np.ndarray"  # flat index -> multiset id
+    rep_codes: "np.ndarray"  # multiset id -> flat index of its sorted tuple
+
+
+def _read_only(*arrays) -> None:
+    # cached arrays are shared by every caller
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def multiset_index(size: int, arity: int) -> MultisetIndex:
+    """The MultisetIndex of tables of this size and arity, built on first use."""
+    multisets = tuple(itertools.combinations_with_replacement(range(size), arity))
+    strides = np.asarray(_strides(size, arity), dtype=np.intp)
+    rep_codes = np.asarray(multisets, dtype=np.intp) @ strides
+    rank = np.zeros(size**arity, dtype=np.intp)
+    rank[rep_codes] = np.arange(len(multisets))
+    digits = np.indices((size,) * arity, dtype=np.min_scalar_type(size)).reshape(arity, -1)
+    digits.sort(axis=0)
+    orbit_of = rank[strides @ digits]
+    _read_only(orbit_of, rep_codes)
+    return MultisetIndex(multisets, orbit_of, rep_codes)
+
+
+def symmetric_table(arity: int, size: int, orbit_values) -> OpTable:
+    """The symmetric table taking orbit_values[i] on multiset i."""
+    index = multiset_index(size, arity)
+    return OpTable(arity, size, tuple(np.asarray(orbit_values)[index.orbit_of].tolist()))
+
+
+def _orbit_values(t: OpTable) -> "np.ndarray | None":
+    """t's values on its argument multisets, or None if t is not symmetric."""
+    index = multiset_index(t.size, t.arity)
+    values = np.asarray(t.values)
+    orbit = values[index.rep_codes]
+    if not np.array_equal(orbit[index.orbit_of], values):
+        return None
+    return orbit
+
+
 def check_symmetric(t: OpTable) -> SymmetryWitness | None:
     """Return None if t is invariant under argument permutations.
 
-    Adjacent transpositions generate all permutations, so only they are
-    checked: transposition positions left to right, tuples lexicographically
-    within each position.
+    Symmetry is one comparison of every cell against the first cell of its
+    argument multiset.  Only a table that fails it is scanned for the
+    witness: adjacent transpositions generate all permutations, so only
+    they are checked, transposition positions left to right, tuples
+    lexicographically within each position.
     """
+    if _orbit_values(t) is not None:
+        return None
     m, n = t.size, t.arity
     values = t.values
     for pos in range(n - 1):
@@ -212,7 +273,7 @@ def check_symmetric(t: OpTable) -> SymmetryWitness | None:
                 swapped_code = swapped_code * m + b
             if values[code] != values[swapped_code]:
                 return SymmetryWitness(args, swapped)
-    return None
+    raise ConsistencyError("no adjacent transposition witnesses the asymmetry")
 
 
 def check_idempotent(t: OpTable) -> int | None:
@@ -311,15 +372,54 @@ def relabel(t: OpTable, perm: Sequence[int]) -> OpTable:
     return OpTable(t.arity, m, tuple(values))
 
 
-def canonical_form(t: OpTable, size_limit: int = CANONICAL_SIZE_LIMIT) -> OpTable:
-    """Least relabeling of t: the values-lexicographic minimum over all
-    carrier permutations.  Two tables are isomorphic iff their canonical
-    forms are equal."""
+@lru_cache(maxsize=2)
+def _permutations(size: int) -> tuple["np.ndarray", "np.ndarray"]:
+    """All carrier permutations in itertools order, and their inverses."""
+    perms = np.array(list(itertools.permutations(range(size))), dtype=np.min_scalar_type(size))
+    inverse = np.argsort(perms, axis=1).astype(perms.dtype)
+    _read_only(perms, inverse)
+    return perms, inverse
+
+
+@lru_cache(maxsize=4)
+def _relabeling_chunk(size: int, arity: int, lo: int, count: int):
+    index = multiset_index(size, arity)
+    perms, inverse = _permutations(size)
+    inverse = inverse[lo : lo + count].astype(np.intp)
+    code = 0
+    for k, stride in enumerate(_strides(size, arity)):
+        code = code + inverse[:, [ms[k] for ms in index.multisets]] * stride
+    source = index.orbit_of[code]
+    _read_only(source)
+    return perms[lo : lo + count], source
+
+
+def _relabelings(size: int, arity: int):
+    """Carrier permutations in itertools order, in chunks of bounded size.
+
+    Yields (perms, source): relabeling a symmetric table by perms[p] gives
+    multiset j the value perms[p][v] for v the old value on multiset
+    source[p, j], the image of multiset j under the inverse permutation.
+    """
+    count = max(1, _RELABEL_CHUNK_CELLS // (math.comb(size + arity - 1, arity) * arity))
+    for lo in range(0, math.factorial(size), count):
+        yield _relabeling_chunk(size, arity, lo, count)
+
+
+def _least_row(rows: "np.ndarray") -> list[int]:
+    """The lexicographically least row of a 2-D array of small integers.
+
+    Each row is read as one fixed-width big-endian byte string; these
+    strings order like the rows.
+    """
+    dtype = np.min_scalar_type(rows.max()).newbyteorder(">")
+    strings = np.ascontiguousarray(rows, dtype=dtype).view(f"S{rows.shape[1] * dtype.itemsize}")
+    return rows[strings.argmin()].tolist()
+
+
+def _canonical_dense(t: OpTable) -> OpTable:
+    """canonical_form of any table, relabeling every cell."""
     m = t.size
-    if m > size_limit:
-        raise ResourceError(f"canonical form scans {m}! relabelings (limit {size_limit}!)")
-    if m == 1:
-        return t
     values = t.values
     arg_rows = list(itertools.product(range(m), repeat=t.arity))
     best = None
@@ -348,6 +448,31 @@ def canonical_form(t: OpTable, size_limit: int = CANONICAL_SIZE_LIMIT) -> OpTabl
         if not worse:
             best = cand
     return OpTable(t.arity, m, tuple(best))
+
+
+def canonical_form(t: OpTable, size_limit: int = CANONICAL_SIZE_LIMIT) -> OpTable:
+    """Least relabeling of t: the values-lexicographic minimum over all
+    carrier permutations.  Two tables are isomorphic iff their canonical
+    forms are equal.
+
+    A symmetric table is relabeled on its argument multisets only, whose
+    values order its relabelings as the full tables (MultisetIndex); any
+    other table is relabeled cell by cell.
+    """
+    m = t.size
+    if m > size_limit:
+        raise ResourceError(f"canonical form scans {m}! relabelings (limit {size_limit}!)")
+    if m == 1:
+        return t
+    orbit = _orbit_values(t)
+    if orbit is None:
+        return _canonical_dense(t)
+    best = None
+    for perms, source in _relabelings(m, t.arity):
+        row = _least_row(np.take_along_axis(perms, orbit[source], axis=1))
+        if best is None or row < best:
+            best = row
+    return symmetric_table(t.arity, m, best)
 
 
 def default_labels(size: int) -> tuple[str, ...]:

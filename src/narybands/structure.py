@@ -212,15 +212,16 @@ class HomMap:
         items = self.mapping.items() if isinstance(self.mapping, dict) else self.mapping
         pairs = tuple(sorted((int(a), int(b)) for a, b in items))
         object.__setattr__(self, "mapping", pairs)
-        sources = [a for a, _ in pairs]
-        if len(set(sources)) != len(sources):
+        image = dict(pairs)
+        if len(image) != len(pairs):
             raise InputError("mapping has a repeated source element")
+        object.__setattr__(self, "_image", image)
 
     def apply(self, x: int) -> int:
-        for a, b in self.mapping:
-            if a == x:
-                return b
-        raise InputError(f"element {x} is outside the map's source class")
+        try:
+            return self._image[x]
+        except KeyError:
+            raise InputError(f"element {x} is outside the map's source class") from None
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)

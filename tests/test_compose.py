@@ -8,6 +8,7 @@ from narybands import (
     GroupSpec,
     HomMap,
     InputError,
+    QuotientSemilattice,
     ResourceError,
     band_violation,
     brute_force_bands,
@@ -28,8 +29,8 @@ from narybands import (
 # the package re-exports the function compose under the module's name
 compose_module = importlib.import_module("narybands.compose")
 
-LABELED_N3 = {1: 1, 2: 3, 3: 18, 4: 197}
-ISO_N3 = {1: 1, 2: 2, 3: 4, 4: 14}
+LABELED_N3 = {1: 1, 2: 3, 3: 18, 4: 197, 5: 3225}
+ISO_N3 = {1: 1, 2: 2, 3: 4, 4: 14, 5: 45}
 
 
 def test_make_group_cyclic():
@@ -227,6 +228,24 @@ def test_enumerate_does_not_use_the_oracle(monkeypatch):
     compose_module._semilattice_tables.cache_clear()
     catalog = enumerate_bands(4, 3)
     assert (catalog.labeled, catalog.iso) == (197, 14)
+
+
+def test_enumerate_validates_each_meet_table_once(monkeypatch):
+    built = []
+
+    def counting(meet):
+        built.append(meet.values)
+        return QuotientSemilattice(meet)
+
+    monkeypatch.setattr(compose_module, "QuotientSemilattice", counting)
+    compose_module._semilattices.cache_clear()
+    try:
+        catalog = enumerate_bands(4, 3)
+    finally:
+        compose_module._semilattices.cache_clear()
+    assert (catalog.labeled, catalog.iso) == (197, 14)
+    # one per labeled meet table on 1 to 4 classes: 1 + 2 + 9 + 76
+    assert len(built) == len(set(built)) == 88
 
 
 def test_enumerate_validates_input():

@@ -1,8 +1,9 @@
+import importlib
 import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from narybands import (
     AssociativityWitness,
@@ -16,6 +17,7 @@ from narybands import (
     check_associative,
     check_idempotent,
     check_symmetric,
+    enumerate_bands,
     extend,
     neutral_elements,
     relabel,
@@ -27,6 +29,8 @@ from narybands import (
     table_to_json,
 )
 from narybands.errors import DomainError
+
+optable_module = importlib.import_module("narybands.optable")
 
 
 def nested_eval(t, args, start):
@@ -50,6 +54,44 @@ small_tables = st.integers(1, 3).flatmap(
         st.lists(st.integers(0, m - 1), min_size=m**2, max_size=m**2),
     )
 )
+
+
+@st.composite
+def symmetric_tables(draw):
+    """A random value on each argument multiset, m <= 4 and n <= 4."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 4))
+    multisets = list(itertools.combinations_with_replacement(range(m), n))
+    drawn = draw(st.lists(st.integers(0, m - 1), min_size=len(multisets), max_size=len(multisets)))
+    on = dict(zip(multisets, drawn))
+    return table_from_function(n, m, lambda *a: on[tuple(sorted(a))])
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A symmetric table, with one cell redrawn half of the time."""
+    t = draw(symmetric_tables())
+    values = list(t.values)
+    if draw(st.booleans()):
+        cell = draw(st.integers(0, len(values) - 1))
+        values[cell] = draw(st.integers(0, t.size - 1))
+    return OpTable(t.arity, t.size, tuple(values))
+
+
+def transposition_witness(t):
+    """Dense reference for check_symmetric: adjacent transpositions left to
+    right, argument tuples lexicographically within each position."""
+    for pos in range(t.arity - 1):
+        for args in itertools.product(range(t.size), repeat=t.arity):
+            swapped = args[:pos] + (args[pos + 1], args[pos]) + args[pos + 2:]
+            if t.eval(args) != t.eval(swapped):
+                return SymmetryWitness(args, swapped)
+    return None
+
+
+def least_relabeling(t):
+    """Dense reference for canonical_form: the least relabeled value tuple."""
+    return min(relabel(t, p).values for p in itertools.permutations(range(t.size)))
 
 
 def test_codec_round_trip():
@@ -131,6 +173,12 @@ def test_check_symmetric_pinned_witness():
     assert t.eval(w.args) != t.eval(w.swapped)
 
 
+@given(perturbed_tables())
+@settings(max_examples=150, deadline=None)
+def test_check_symmetric_matches_transposition_scan(t):
+    assert check_symmetric(t) == transposition_witness(t)
+
+
 def test_check_symmetric_accepts(min3, maj2):
     assert check_symmetric(min3) is None
     assert check_symmetric(maj2) is None
@@ -210,6 +258,37 @@ def test_canonical_form_is_invariant(f2):
 def test_canonical_form_is_minimum():
     t = OpTable(2, 2, (1, 0, 0, 1))
     assert canonical_form(t).values == (0, 1, 1, 0)
+
+
+def test_canonical_form_matches_relabelings_on_catalogs(catalog_n3):
+    for t in catalog_n3[4] + enumerate_bands(4, 5).entries:
+        assert canonical_form(t).values == least_relabeling(t)
+
+
+@given(symmetric_tables())
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_matches_relabelings_on_non_bands(t):
+    assume(band_violation(t) is not None)
+    assert canonical_form(t).values == least_relabeling(t)
+
+
+def test_canonical_form_matches_relabelings_on_non_symmetric():
+    tables = (
+        table_from_function(3, 3, lambda x, y, z: (x - y + z) % 3),
+        table_from_function(2, 4, lambda x, y: (2 * x + y) % 4),
+        table_from_function(3, 4, lambda x, y, z: min(x, y) if z < 2 else z),
+    )
+    for t in tables:
+        assert check_symmetric(t) is not None
+        assert canonical_form(t).values == least_relabeling(t)
+
+
+def test_canonical_form_chunks_agree(monkeypatch, f2):
+    # one permutation per chunk: the minimum is carried across chunks
+    monkeypatch.setattr(optable_module, "_RELABEL_CHUNK_CELLS", 1)
+    expected = least_relabeling(f2)
+    for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
+        assert canonical_form(relabel(f2, perm)).values == expected
 
 
 def test_canonical_form_size_limit():

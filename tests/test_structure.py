@@ -9,6 +9,7 @@ from narybands import (
     InputError,
     associated_band,
     class_group,
+    compose,
     decompose,
     extend,
     hom_maps,
@@ -283,20 +284,38 @@ def test_non_group_cayley_loads_but_fails_validation(f1):
     assert "group-inverse" in codes or "group-identity" in codes
 
 
+def dense_compose(system, n):
+    """Dense reference for compose: the value of every argument tuple in
+    flat order, each tuple pushed into its meet class and multiplied there."""
+    cls = system.partition.class_of
+    out = []
+    for args in itertools.product(range(system.size), repeat=n):
+        gamma = cls[args[0]]
+        for a in args[1:]:
+            gamma = system.quotient.meet_of(gamma, cls[a])
+        group = system.groups[gamma]
+        pos = None
+        for a in args:
+            image = system.homs[(cls[a], gamma)].apply(a)
+            p = group.position(image)
+            pos = p if pos is None else group.op_position(pos, p)
+        out.append(group.members[pos])
+    return tuple(out)
+
+
 def test_decompose_reconstruction_identity(catalog_n3):
     # the defining identity of the decomposition: every value is reached by
-    # pushing all arguments into the meet class and multiplying there
-    for t in catalog_n3[3]:
+    # pushing all arguments into the meet class and multiplying there.
+    # compose evaluates one argument multiset per orbit; the reference
+    # evaluates every tuple, at the band's arity and at arity 5
+    for t in catalog_n3[3] + catalog_n3[4]:
         system = decompose(t)
-        cls = system.partition.class_of
-        for args in itertools.product(range(t.size), repeat=3):
-            gamma = args and cls[args[0]]
-            for a in args[1:]:
-                gamma = system.quotient.meet_of(gamma, cls[a])
-            group = system.groups[gamma]
-            pos = None
-            for a in args:
-                image = system.homs[(cls[a], gamma)].apply(a)
-                p = group.position(image)
-                pos = p if pos is None else group.op_position(pos, p)
-            assert group.members[pos] == t.eval(args)
+        assert dense_compose(system, 3) == t.values == compose(system).values
+        assert dense_compose(system, 5) == compose(system, 5).values
+
+
+def test_hom_map_apply_rejects_outside_source():
+    hom = HomMap(0, 1, {0: 4, 1: 5})
+    assert hom.apply(1) == 5
+    with pytest.raises(InputError):
+        hom.apply(2)
