@@ -14,23 +14,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, InputError, ResourceError
-from .bandcore import QuotientSemilattice, SigmaPartition
+from .bandcore import QuotientSemilattice
 from .optable import (
     OpTable,
-    canonical_form,
+    _canonical_forms,
     check_associative,
     extend,
     multiset_index,
     relabel,
     symmetric_table,
 )
-from .structure import (
-    ClassGroup,
-    HomMap,
-    StrongSystem,
-    invariant_factors,
-    validate_system,
-)
+from .structure import StrongSystem, validate_system
 
 ENUMERATE_SIZE_LIMIT = 5
 BRUTE_CANDIDATE_BUDGET = 2**24
@@ -165,9 +159,7 @@ class BandCatalog:
 
 
 def _catalog(m: int, n: int, tables, up_to_iso: bool) -> BandCatalog:
-    canon: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t in tables:
-        canon[t.values] = canonical_form(t).values
+    canon = dict(zip((t.values for t in tables), _canonical_forms(tables)))
     iso = len(set(canon.values()))
     if up_to_iso:
         entries = tuple(OpTable(n, m, v) for v in sorted(set(canon.values())))
@@ -294,10 +286,33 @@ def _semilattice_tables(k: int) -> tuple[OpTable, ...]:
     return tuple(OpTable(2, k, v) for v in sorted(found))
 
 
+def _hom_steps(q: QuotientSemilattice) -> tuple:
+    """_hom_systems' plan: the classes below some other class, top-down,
+    each as (c, covers, routes), where covers are the classes covering c
+    and routes pair each class g above c with the covers of c at or below g."""
+    k = q.size
+    uppers = [[d for d in range(k) if d != c and q.leq(c, d)] for c in range(k)]
+    cover_pairs = q.covers()
+    steps = []
+    for c in sorted(range(k), key=lambda c: (len(uppers[c]), c)):
+        if uppers[c]:
+            covers = tuple(a for a, b in cover_pairs if b == c)
+            routes = tuple(
+                (g, tuple(a for a in covers if a == g or q.leq(a, g))) for g in uppers[c]
+            )
+            steps.append((c, covers, routes))
+    return tuple(steps)
+
+
 @lru_cache(maxsize=None)
-def _semilattices(k: int) -> tuple[QuotientSemilattice, ...]:
-    """_semilattice_tables(k), each validated once as a semilattice."""
-    return tuple(QuotientSemilattice(t) for t in _semilattice_tables(k))
+def _semilattices(k: int) -> tuple[tuple["np.ndarray", tuple], ...]:
+    """_semilattice_tables(k), each validated once as a semilattice, as
+    (k x k meet array, _hom_steps plan)."""
+    out = []
+    for t in _semilattice_tables(k):
+        plan = _hom_steps(QuotientSemilattice(t))
+        out.append((np.asarray(t.values, dtype=np.intp).reshape(k, k), plan))
+    return tuple(out)
 
 
 def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
@@ -316,26 +331,17 @@ def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
 def _class_structures(size: int, arity: int):
     """Distinct arity-ary group extensions on a class of the given size.
 
-    Each entry is (extension table, one binary group table producing it,
-    identity position of that group); extensions from different neutrals
-    coincide, so the dictionary keyed by extension values dedupes them.
+    Each entry is (extension table, one binary group table producing it);
+    extensions from different neutrals coincide, so the dictionary keyed by
+    extension values dedupes them.
     """
-    found: dict[tuple[int, ...], tuple[OpTable, int]] = {}
+    found: dict[tuple[int, ...], OpTable] = {}
     for factors in _factor_multisets(size, arity - 1):
         base = make_group(GroupSpec(size, factors), arity)
         for perm in itertools.permutations(range(size)):
             g = relabel(base, perm)
-            ext = extend(g, arity - 1)
-            if ext.values not in found:
-                ident = next(
-                    p
-                    for p in range(size)
-                    if all(g.values[p * size + q] == q for q in range(size))
-                )
-                found[ext.values] = (g, ident)
-    return tuple(
-        (OpTable(arity, size, v), g, ident) for v, (g, ident) in sorted(found.items())
-    )
+            found.setdefault(extend(g, arity - 1).values, g)
+    return tuple((OpTable(arity, size, v), g) for v, g in sorted(found.items()))
 
 
 def _set_partitions(m: int):
@@ -356,86 +362,79 @@ def _set_partitions(m: int):
     yield from rec(0, [])
 
 
-def _hom_systems(q: QuotientSemilattice, bases, arity: int):
+def _hom_systems(steps, bases, arity: int):
     """All coherent systems of position maps for the strict comparable pairs.
 
-    Classes are processed top-down; maps are chosen freely on covering
-    pairs and derived along longer chains, pruning when two derivations of
-    the same pair disagree.  Checking only factorizations through covers
-    is enough: coherence for longer chains follows by induction down the
-    processing order.
+    Classes are processed top-down in the order of steps (_hom_steps); maps
+    are chosen freely on covering pairs and derived along longer chains,
+    pruning when two derivations of the same pair disagree.  Checking only
+    factorizations through covers is enough: coherence for longer chains
+    follows by induction down the processing order.
     """
-    k = q.size
-    uppers = [[d for d in range(k) if d != c and q.leq(c, d)] for c in range(k)]
-    cover_pairs = q.covers()
-    cover_ups = [[a for a, b in cover_pairs if b == c] for c in range(k)]
-    order = sorted(range(k), key=lambda c: (len(uppers[c]), c))
     phi: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def rec(idx):
-        if idx == k:
+        if idx == len(steps):
             yield dict(phi)
             return
-        c = order[idx]
-        if not uppers[c]:
-            yield from rec(idx + 1)
-            return
-        choice_lists = [_cached_nary_homs(bases[a], bases[c], arity) for a in cover_ups[c]]
+        c, covers, routes = steps[idx]
+        choice_lists = [_cached_nary_homs(bases[a], bases[c], arity) for a in covers]
         for combo in itertools.product(*choice_lists):
-            assigned = dict(zip(cover_ups[c], combo))
-            derived = {}
-            ok = True
-            for g in uppers[c]:
-                candidate = None
-                for a in cover_ups[c]:
-                    if a == g:
-                        via = assigned[a]
-                    elif q.leq(a, g):
-                        via = tuple(assigned[a][p] for p in phi[(g, a)])
-                    else:
-                        continue
-                    if candidate is None:
-                        candidate = via
-                    elif candidate != via:
-                        ok = False
-                        break
-                if not ok:
+            assigned = dict(zip(covers, combo))
+            derived = []
+            for g, vias in routes:
+                maps = {
+                    assigned[a] if a == g else tuple(assigned[a][p] for p in phi[(g, a)])
+                    for a in vias
+                }
+                if len(maps) > 1:
                     break
-                derived[g] = candidate
-            if not ok:
-                continue
-            for g in uppers[c]:
-                phi[(g, c)] = derived[g]
-            yield from rec(idx + 1)
-            for g in uppers[c]:
-                del phi[(g, c)]
+                derived.append(((g, c), maps.pop()))
+            else:
+                phi.update(derived)
+                yield from rec(idx + 1)
+                for pair, _ in derived:
+                    del phi[pair]
 
     yield from rec(0)
 
 
-def _assemble(arity, classes, q, assign, phi) -> StrongSystem:
-    size = sum(len(c) for c in classes)
-    class_of = [0] * size
-    for i, members in enumerate(classes):
-        for x in members:
-            class_of[x] = i
-    partition = SigmaPartition(tuple(class_of), classes)
-    groups = []
-    for i, (_, base, ident) in enumerate(assign):
-        members = classes[i]
-        groups.append(
-            ClassGroup(i, members, members[ident], base, invariant_factors(base, ident))
-        )
-    homs = {}
-    for (a, b), pmap in phi.items():
-        homs[(a, b)] = HomMap(
-            a,
-            b,
-            tuple((classes[a][i], classes[b][pmap[i]]) for i in range(len(classes[a]))),
-        )
-    for i in range(len(classes)):
-        homs[(i, i)] = HomMap(i, i, tuple((x, x) for x in classes[i]))
-    return StrongSystem(arity, partition, q, tuple(groups), homs)
+@lru_cache(maxsize=64)
+def _multiset_args(size: int, arity: int) -> "np.ndarray":
+    args = np.asarray(multiset_index(size, arity).multisets, dtype=np.intp)
+    args.flags.writeable = False
+    return args
+
+
+def _compose_orbits(n, class_of, meet, members, cayleys, images) -> "np.ndarray":
+    """Values of a composed band on its argument multisets of arity n.
+
+    class_of[x] is the class of element x and meet the k x k meet table of
+    the classes.  Class c has the elements members[c], in position order,
+    and the group cayleys[c], a flat table of positions.  images[x, c] is
+    the position in class c of the image of x, for every class c at or
+    below the class of x.  Each multiset is sent into the meet of its
+    classes and its images are multiplied there: the meet is commutative
+    and the groups are Abelian, so one value per multiset fixes the table.
+    """
+    args = _multiset_args(len(class_of), n)
+    arg_classes = np.asarray(class_of, dtype=np.intp)[args]
+    alpha = arg_classes[:, 0]
+    for j in range(1, n):
+        alpha = meet[alpha, arg_classes[:, j]]
+    orders = np.array([len(c) for c in members], dtype=np.intp)
+    # the classes' tables and members laid end to end, class c's starting
+    # at cayley_start[c] and member_start[c]
+    cayley_start = np.cumsum(orders**2) - orders**2
+    member_start = np.cumsum(orders) - orders
+    cayley = np.concatenate(cayleys).astype(np.intp, copy=False)
+    base = cayley_start[alpha]
+    order = orders[alpha]
+    pos = images[args, alpha[:, None]]
+    acc = pos[:, 0]
+    for j in range(1, n):
+        acc = cayley[base + acc * order + pos[:, j]]
+    return np.concatenate(members)[member_start[alpha] + acc]
 
 
 def compose(system: StrongSystem, arity: int | None = None, verify: bool = True) -> OpTable:
@@ -454,20 +453,20 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
         if report:
             summary = "; ".join(f"{v.code}: {v.message}" for v in report)
             raise DomainError(f"system fails validation: {summary}")
-    class_of = system.partition.class_of
-    meet = system.quotient
-    orbit = []
-    for args in multiset_index(system.size, n).multisets:
-        alpha = class_of[args[0]]
-        for a in args[1:]:
-            alpha = meet.meet_of(alpha, class_of[a])
-        group = system.groups[alpha]
-        pos = None
-        for a in args:
-            image = system.homs[(class_of[a], alpha)].apply(a)
-            p = group.position(image)
-            pos = p if pos is None else group.op_position(pos, p)
-        orbit.append(group.members[pos])
+    groups = system.groups
+    k = len(groups)
+    images = np.zeros((system.size, k), dtype=np.intp)
+    for (_, lower), hom in system.homs.items():
+        for x, image in hom.mapping:
+            images[x, lower] = groups[lower].position(image)
+    orbit = _compose_orbits(
+        n,
+        system.partition.class_of,
+        np.asarray(system.quotient.meet.values, dtype=np.intp).reshape(k, k),
+        [g.members for g in groups],
+        [g.cayley.values for g in groups],
+        images,
+    )
     return symmetric_table(n, system.size, orbit)
 
 
@@ -490,12 +489,22 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
         if any(not o for o in options):
             continue
         k = len(classes)
-        for q in _semilattices(k):
+        class_of = [0] * m
+        own = np.zeros((m, k), dtype=np.intp)  # each element's position in its class
+        for c, members in enumerate(classes):
+            for i, x in enumerate(members):
+                class_of[x] = c
+                own[x, c] = i
+        for meet, plan in _semilattices(k):
             for assign in itertools.product(*options):
                 bases = [entry[1] for entry in assign]
-                for phi in _hom_systems(q, bases, n):
-                    system = _assemble(n, classes, q, assign, phi)
-                    t = compose(system, n, verify=False)
+                cayleys = [base.values for base in bases]
+                for phi in _hom_systems(plan, bases, n):
+                    images = own.copy()
+                    for (g, c), pmap in phi.items():
+                        images[classes[g], c] = pmap
+                    orbit = _compose_orbits(n, class_of, meet, classes, cayleys, images)
+                    t = symmetric_table(n, m, orbit)
                     if t.values in seen:
                         raise ConsistencyError("two distinct systems composed equal")
                     seen.add(t.values)

@@ -79,9 +79,12 @@ class OpTable:
             raise InputError(
                 f"values has length {len(vals)}, expected {self.size}**{self.arity}"
             )
-        for v in vals:
-            if not isinstance(v, int) or not 0 <= v < self.size:
-                raise InputError(f"table value {v!r} outside 0..{self.size - 1}")
+        # one pass over the types and one over the range; only a table that
+        # fails them is walked to name its first bad value
+        if not set(map(type, vals)) <= {int, bool} or min(vals) < 0 or max(vals) >= self.size:
+            for v in vals:
+                if not isinstance(v, int) or not 0 <= v < self.size:
+                    raise InputError(f"table value {v!r} outside 0..{self.size - 1}")
 
     @property
     def codec(self) -> TupleCodec:
@@ -406,6 +409,13 @@ def _relabelings(size: int, arity: int):
         yield _relabeling_chunk(size, arity, lo, count)
 
 
+def _relabeled_orbits(orbit: "np.ndarray", size: int, arity: int):
+    """The orbit vectors of every relabeling of a symmetric table, given its
+    own, as rows of chunks in the order of _relabelings."""
+    for perms, source in _relabelings(size, arity):
+        yield np.take_along_axis(perms, orbit[source], axis=1)
+
+
 def _least_row(rows: "np.ndarray") -> list[int]:
     """The lexicographically least row of a 2-D array of small integers.
 
@@ -467,12 +477,42 @@ def canonical_form(t: OpTable, size_limit: int = CANONICAL_SIZE_LIMIT) -> OpTabl
     orbit = _orbit_values(t)
     if orbit is None:
         return _canonical_dense(t)
-    best = None
-    for perms, source in _relabelings(m, t.arity):
-        row = _least_row(np.take_along_axis(perms, orbit[source], axis=1))
-        if best is None or row < best:
-            best = row
+    best = min(_least_row(rows) for rows in _relabeled_orbits(orbit, m, t.arity))
     return symmetric_table(t.arity, m, best)
+
+
+def _canonical_forms(tables: Sequence[OpTable]) -> list[tuple[int, ...]]:
+    """canonical_form(t).values for each table, relabeling each isomorphism
+    class once.
+
+    The first symmetric table of a class records every relabeled orbit
+    vector under the least one, and any later table among them is looked
+    up: it is a relabeling of the first, so it has the same canonical form.
+    Other tables, and sizes outside 2..CANONICAL_SIZE_LIMIT, go through
+    canonical_form.
+    """
+    known: dict[tuple[int, int], dict[bytes, tuple[int, ...]]] = {}
+    out = []
+    for t in tables:
+        m, n = t.size, t.arity
+        orbit = _orbit_values(t) if 2 <= m <= CANONICAL_SIZE_LIMIT else None
+        if orbit is None:
+            out.append(canonical_form(t).values)
+            continue
+        # one byte per orbit value (m <= CANONICAL_SIZE_LIMIT), so the byte
+        # strings also order like the orbit vectors
+        forms = known.setdefault((m, n), {})
+        key = orbit.astype(np.uint8).tobytes()
+        if key not in forms:
+            relabeled = [
+                row.tobytes()
+                for rows in _relabeled_orbits(orbit, m, n)
+                for row in rows.astype(np.uint8)
+            ]
+            canon = symmetric_table(n, m, list(min(relabeled))).values
+            forms.update(dict.fromkeys(relabeled, canon))
+        out.append(forms[key])
+    return out
 
 
 def default_labels(size: int) -> tuple[str, ...]:

@@ -28,6 +28,7 @@ from narybands import (
 
 # the package re-exports the function compose under the module's name
 compose_module = importlib.import_module("narybands.compose")
+optable_module = importlib.import_module("narybands.optable")
 
 LABELED_N3 = {1: 1, 2: 3, 3: 18, 4: 197, 5: 3225}
 ISO_N3 = {1: 1, 2: 2, 3: 4, 4: 14, 5: 45}
@@ -246,6 +247,41 @@ def test_enumerate_validates_each_meet_table_once(monkeypatch):
     assert (catalog.labeled, catalog.iso) == (197, 14)
     # one per labeled meet table on 1 to 4 classes: 1 + 2 + 9 + 76
     assert len(built) == len(set(built)) == 88
+
+
+def test_enumerate_plans_each_meet_table_once(monkeypatch):
+    # the covers and processing order of a semilattice are computed once,
+    # not once per candidate system built over it
+    calls = []
+    covers = QuotientSemilattice.covers
+
+    def counting(self):
+        calls.append(self.meet.values)
+        return covers(self)
+
+    monkeypatch.setattr(QuotientSemilattice, "covers", counting)
+    compose_module._semilattices.cache_clear()
+    try:
+        catalog = enumerate_bands(4, 3)
+    finally:
+        compose_module._semilattices.cache_clear()
+    assert (catalog.labeled, catalog.iso) == (197, 14)
+    # at most one per labeled meet table on 1 to 4 classes
+    assert 0 < len(calls) <= 88
+
+
+def test_enumerate_relabels_once_per_class(monkeypatch):
+    scans = []
+    relabeled_orbits = optable_module._relabeled_orbits
+
+    def counting(orbit, size, arity):
+        scans.append(tuple(orbit.tolist()))
+        return relabeled_orbits(orbit, size, arity)
+
+    monkeypatch.setattr(optable_module, "_relabeled_orbits", counting)
+    catalog = enumerate_bands(4, 3)
+    assert (catalog.labeled, catalog.iso) == (197, 14)
+    assert len(scans) == 14
 
 
 def test_enumerate_validates_input():

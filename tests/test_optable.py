@@ -1,7 +1,11 @@
+import enum
 import importlib
 import itertools
 import json
+import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -124,6 +128,30 @@ def test_table_validation():
         OpTable(2, 2, (0, 0, 0))
     with pytest.raises(InputError):
         OpTable(2, 2, (0, 0, 0, 2))
+
+
+def test_table_validation_names_the_first_bad_value():
+    # bad values deep in the table: the message names the first in order
+    for first, later in ((7, -1), (-1, 7), (2.0, 9), (np.int64(1), 9)):
+        values = [0] * 64
+        values[40] = first
+        values[50] = later
+        with pytest.raises(InputError, match=re.escape(f"table value {first!r} outside 0..3")):
+            OpTable(3, 4, tuple(values))
+
+
+def test_table_validation_accepts_bools_and_int_subclasses():
+    class Label(enum.IntEnum):
+        LOW = 0
+        HIGH = 1
+
+    for values in ((False, True, True, True), (0, True, 1, 1), (Label.LOW, 1, 1, Label.HIGH)):
+        t = OpTable(2, 2, values)
+        assert t.values == values
+    with pytest.raises(InputError, match="outside 0..1"):
+        OpTable(2, 2, (0, 1, 1, Label.HIGH + 1))
+    with pytest.raises(InputError, match=re.escape(repr(np.int64(1)))):
+        OpTable(2, 2, (0, 1, 1, np.int64(1)))
 
 
 def test_table_from_function_matches_eval(min3):
@@ -289,6 +317,30 @@ def test_canonical_form_chunks_agree(monkeypatch, f2):
     expected = least_relabeling(f2)
     for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
         assert canonical_form(relabel(f2, perm)).values == expected
+
+
+def test_canonical_forms_match_canonical_form(monkeypatch):
+    # relabeling once per isomorphism class and looking up the rest must
+    # agree with canonical_form table by table, also on a list that is not
+    # closed under relabeling, on one holding a non-symmetric table, and
+    # with one permutation per chunk
+    catalog_4_3 = list(enumerate_bands(4, 3).entries)
+    subset = random.Random(8).sample(catalog_4_3, 60)
+    lists = [
+        catalog_4_3,
+        list(enumerate_bands(4, 5).entries),
+        list(enumerate_bands(5, 2).entries),
+        subset,
+        subset[:30]
+        + [table_from_function(3, 4, lambda x, y, z: min(x, y) if z < 2 else z)]
+        + subset[30:],
+    ]
+    expected = [[canonical_form(t).values for t in tables] for tables in lists]
+    for tables, canon in zip(lists, expected):
+        assert optable_module._canonical_forms(tables) == canon
+    monkeypatch.setattr(optable_module, "_RELABEL_CHUNK_CELLS", 1)
+    for tables, canon in zip(lists[3:], expected[3:]):
+        assert optable_module._canonical_forms(tables) == canon
 
 
 def test_canonical_form_size_limit():

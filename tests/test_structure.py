@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from narybands import (
@@ -11,6 +12,7 @@ from narybands import (
     class_group,
     compose,
     decompose,
+    enumerate_bands,
     extend,
     hom_maps,
     invariant_factors,
@@ -286,32 +288,49 @@ def test_non_group_cayley_loads_but_fails_validation(f1):
 
 def dense_compose(system, n):
     """Dense reference for compose: the value of every argument tuple in
-    flat order, each tuple pushed into its meet class and multiplied there."""
-    cls = system.partition.class_of
-    out = []
-    for args in itertools.product(range(system.size), repeat=n):
-        gamma = cls[args[0]]
-        for a in args[1:]:
-            gamma = system.quotient.meet_of(gamma, cls[a])
-        group = system.groups[gamma]
-        pos = None
-        for a in args:
-            image = system.homs[(cls[a], gamma)].apply(a)
-            p = group.position(image)
-            pos = p if pos is None else group.op_position(pos, p)
-        out.append(group.members[pos])
-    return tuple(out)
+    flat order, each tuple pushed into its meet class and multiplied there,
+    through element-level tables read off the system's maps and groups."""
+    m = system.size
+    k = system.partition.size
+    cls = np.array(system.partition.class_of)
+    meet = np.array([[system.quotient.meet_of(a, b) for b in range(k)] for a in range(k)])
+    push = np.full((m, k), -1)
+    for (_, lower), hom in system.homs.items():
+        for x, image in hom.mapping:
+            push[x, lower] = image
+    mult = np.full((m, m), -1)
+    for g in system.groups:
+        for x in g.members:
+            for y in g.members:
+                mult[x, y] = g.op(x, y)
+    # row j holds argument j of every tuple, first argument most significant
+    args = np.indices((m,) * n).reshape(n, -1)
+    gamma = cls[args[0]]
+    for row in args[1:]:
+        gamma = meet[gamma, cls[row]]
+    acc = push[args[0], gamma]
+    for row in args[1:]:
+        acc = mult[acc, push[row, gamma]]
+    return tuple(acc.tolist())
 
 
 def test_decompose_reconstruction_identity(catalog_n3):
     # the defining identity of the decomposition: every value is reached by
     # pushing all arguments into the meet class and multiplying there.
     # compose evaluates one argument multiset per orbit; the reference
-    # evaluates every tuple, at the band's arity and at arity 5
+    # evaluates every tuple, at the band's arity and at a higher one
     for t in catalog_n3[3] + catalog_n3[4]:
         system = decompose(t)
         assert dense_compose(system, 3) == t.values == compose(system).values
         assert dense_compose(system, 5) == compose(system, 5).values
+    # the entries are bands by construction, so they skip the axiom scan;
+    # arity 9 (4**9 tuples) runs on one table per isomorphism class
+    canonical = {t.values for t in enumerate_bands(4, 5, up_to_iso=True).entries}
+    for t in enumerate_bands(4, 5).entries:
+        system = decompose(t, verify=False)
+        assert dense_compose(system, 5) == t.values == compose(system).values
+        if t.values in canonical:
+            assert dense_compose(system, 9) == compose(system, 9).values
 
 
 def test_hom_map_apply_rejects_outside_source():
