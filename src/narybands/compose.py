@@ -286,32 +286,46 @@ def _semilattice_tables(k: int) -> tuple[OpTable, ...]:
     return tuple(OpTable(2, k, v) for v in sorted(found))
 
 
-def _hom_steps(q: QuotientSemilattice) -> tuple:
-    """_hom_systems' plan: the classes below some other class, top-down,
-    each as (c, covers, routes), where covers are the classes covering c
-    and routes pair each class g above c with the covers of c at or below g."""
-    k = q.size
-    uppers = [[d for d in range(k) if d != c and q.leq(c, d)] for c in range(k)]
-    cover_pairs = q.covers()
+def _hom_steps(meet: "np.ndarray") -> tuple:
+    """_hom_systems' plan for a k x k meet array: the classes below some
+    other class, top-down, each as (c, covers, routes), where covers are
+    the classes covering c and routes pair each class g above c with the
+    covers of c at or below g."""
+    k = len(meet)
+    leq = meet == np.arange(k)[:, None]  # leq[c, d]: c <= d
+    less = leq & ~np.eye(k, dtype=bool)
+    lo = less.astype(np.intp)
+    # c < a is a cover when no class lies strictly between them
+    covered = less & (lo @ lo == 0)
+    leq, less, covered = np.stack([leq, less, covered]).tolist()
+    uppers = [[d for d in range(k) if less[c][d]] for c in range(k)]
     steps = []
     for c in sorted(range(k), key=lambda c: (len(uppers[c]), c)):
         if uppers[c]:
-            covers = tuple(a for a, b in cover_pairs if b == c)
-            routes = tuple(
-                (g, tuple(a for a in covers if a == g or q.leq(a, g))) for g in uppers[c]
-            )
+            covers = tuple(a for a in range(k) if covered[c][a])
+            routes = tuple((g, tuple(a for a in covers if leq[a][g])) for g in uppers[c])
             steps.append((c, covers, routes))
     return tuple(steps)
 
 
 @lru_cache(maxsize=None)
 def _semilattices(k: int) -> tuple[tuple["np.ndarray", tuple], ...]:
-    """_semilattice_tables(k), each validated once as a semilattice, as
-    (k x k meet array, _hom_steps plan)."""
+    """_semilattice_tables(k) as (k x k meet array, _hom_steps plan).
+
+    The semilattice laws are checked (QuotientSemilattice) on the first
+    table of each isomorphism class only: the others are relabelings of
+    it, and commutativity, idempotency and associativity survive
+    relabeling.
+    """
+    tables = _semilattice_tables(k)
+    checked = set()
     out = []
-    for t in _semilattice_tables(k):
-        plan = _hom_steps(QuotientSemilattice(t))
-        out.append((np.asarray(t.values, dtype=np.intp).reshape(k, k), plan))
+    for t, form in zip(tables, _canonical_forms(tables)):
+        if form not in checked:
+            QuotientSemilattice(t)
+            checked.add(form)
+        meet = np.asarray(t.values, dtype=np.intp).reshape(k, k)
+        out.append((meet, _hom_steps(meet)))
     return tuple(out)
 
 

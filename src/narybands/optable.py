@@ -244,7 +244,7 @@ def symmetric_table(arity: int, size: int, orbit_values) -> OpTable:
 def _orbit_values(t: OpTable) -> "np.ndarray | None":
     """t's values on its argument multisets, or None if t is not symmetric."""
     index = multiset_index(t.size, t.arity)
-    values = np.asarray(t.values)
+    values = np.asarray(t.values, dtype=np.intp)
     orbit = values[index.rep_codes]
     if not np.array_equal(orbit[index.orbit_of], values):
         return None

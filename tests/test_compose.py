@@ -1,18 +1,23 @@
 import importlib
 import itertools
 
+import numpy as np
 import pytest
 
 from narybands import (
+    ConsistencyError,
     DomainError,
     GroupSpec,
     HomMap,
     InputError,
+    OpTable,
     QuotientSemilattice,
     ResourceError,
     band_violation,
     brute_force_bands,
     canonical_form,
+    check_associative,
+    check_idempotent,
     check_symmetric,
     compose,
     decompose,
@@ -231,11 +236,11 @@ def test_enumerate_does_not_use_the_oracle(monkeypatch):
     assert (catalog.labeled, catalog.iso) == (197, 14)
 
 
-def test_enumerate_validates_each_meet_table_once(monkeypatch):
+def test_enumerate_validates_each_meet_class_once(monkeypatch):
     built = []
 
     def counting(meet):
-        built.append(meet.values)
+        built.append(meet)
         return QuotientSemilattice(meet)
 
     monkeypatch.setattr(compose_module, "QuotientSemilattice", counting)
@@ -245,32 +250,65 @@ def test_enumerate_validates_each_meet_table_once(monkeypatch):
     finally:
         compose_module._semilattices.cache_clear()
     assert (catalog.labeled, catalog.iso) == (197, 14)
-    # one per labeled meet table on 1 to 4 classes: 1 + 2 + 9 + 76
-    assert len(built) == len(set(built)) == 88
+    # one per isomorphism class of meet tables on 1 to 4 classes: 1 + 1 + 2 + 5
+    assert [sum(t.size == k for t in built) for k in range(1, 5)] == [1, 1, 2, 5]
+    # every labeled meet table is a relabeling of a checked one
+    for k in range(1, 5):
+        relabelings = {
+            relabel(v, p).values
+            for v in built
+            if v.size == k
+            for p in itertools.permutations(range(k))
+        }
+        assert {t.values for t in compose_module._semilattice_tables(k)} <= relabelings
 
 
-def test_enumerate_plans_each_meet_table_once(monkeypatch):
-    # the covers and processing order of a semilattice are computed once,
-    # not once per candidate system built over it
-    calls = []
-    covers = QuotientSemilattice.covers
+def test_hom_steps_match_quotient_semilattice():
+    # the plan read off the meet array against one read off the checked
+    # semilattice's leq and covers
+    def reference(q):
+        k = q.size
+        uppers = [[d for d in range(k) if d != c and q.leq(c, d)] for c in range(k)]
+        cover_pairs = q.covers()
+        steps = []
+        for c in sorted(range(k), key=lambda c: (len(uppers[c]), c)):
+            if uppers[c]:
+                covers = tuple(a for a, b in cover_pairs if b == c)
+                routes = tuple(
+                    (g, tuple(a for a in covers if a == g or q.leq(a, g))) for g in uppers[c]
+                )
+                steps.append((c, covers, routes))
+        return tuple(steps)
 
-    def counting(self):
-        calls.append(self.meet.values)
-        return covers(self)
+    tables = [t for k in range(1, 6) for t in compose_module._semilattice_tables(k)]
+    assert len(tables) == 1153
+    for t in tables:
+        meet = np.asarray(t.values).reshape(t.size, t.size)
+        assert compose_module._hom_steps(meet) == reference(QuotientSemilattice(t))
 
-    monkeypatch.setattr(QuotientSemilattice, "covers", counting)
+
+def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
+    # rock-paper-scissors: commutative and idempotent, but
+    # (0 1) 2 = 1 2 = 2 while 0 (1 2) = 0 2 = 0
+    bad = OpTable(2, 3, (0, 1, 0, 1, 1, 2, 0, 2, 2))
+    assert check_symmetric(bad) is None and check_idempotent(bad) is None
+    assert check_associative(bad) is not None
+    tables = compose_module._semilattice_tables
+    monkeypatch.setattr(
+        compose_module, "_semilattice_tables", lambda k: tables(k) + ((bad,) if k == 3 else ())
+    )
     compose_module._semilattices.cache_clear()
     try:
-        catalog = enumerate_bands(4, 3)
+        with pytest.raises(ConsistencyError, match="meet table is not associative"):
+            enumerate_bands(3, 3)
     finally:
         compose_module._semilattices.cache_clear()
-    assert (catalog.labeled, catalog.iso) == (197, 14)
-    # at most one per labeled meet table on 1 to 4 classes
-    assert 0 < len(calls) <= 88
 
 
 def test_enumerate_relabels_once_per_class(monkeypatch):
+    # warm the meet tables first, so only the band classes are counted
+    for k in range(1, 5):
+        compose_module._semilattices(k)
     scans = []
     relabeled_orbits = optable_module._relabeled_orbits
 

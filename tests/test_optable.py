@@ -288,6 +288,16 @@ def test_canonical_form_is_minimum():
     assert canonical_form(t).values == (0, 1, 1, 0)
 
 
+def test_canonical_form_of_bool_table():
+    # OpTable accepts bools; their form is the int table's, as ints
+    bools = OpTable(2, 2, (False, True, True, True))
+    ints = OpTable(2, 2, (0, 1, 1, 1))
+    expected = canonical_form(ints).values
+    for form in (canonical_form(bools).values, *optable_module._canonical_forms([bools])):
+        assert form == expected
+        assert all(type(v) is int for v in form)
+
+
 def test_canonical_form_matches_relabelings_on_catalogs(catalog_n3):
     for t in catalog_n3[4] + enumerate_bands(4, 5).entries:
         assert canonical_form(t).values == least_relabeling(t)
