@@ -3,7 +3,9 @@ decomposition and composition, reducibility, extension, enumeration,
 brute-force oracles, and isomorphism testing over JSON table files.
 
 Exit codes: 0 success / property holds, 1 property fails on well-formed
-input, 2 malformed input or exceeded resource budget.
+input, 2 malformed input or exceeded resource budget.  A ConsistencyError
+(a failed internal cross-check) also exits 1: it is what a non-band run
+with --no-verify raises, and that input fails the property.
 """
 
 import argparse
@@ -362,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     q.set_defaults(func=cmd_oracle_reductions)
     q = oracle_sub.add_parser(
-        "bands", parents=[out_flag], help="filter all symmetric idempotent tables"
+        "bands", parents=[out_flag], help="find every band by backtracking search"
     )
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--arity", type=int, required=True)

@@ -3,7 +3,7 @@
 Builds symmetric n-ary bands out of strong-system data, constructs the
 Abelian groups and connecting homomorphisms the systems are made of, and
 enumerates every symmetric n-ary band on a small carrier, both by
-composing systems and by brute force over symmetric idempotent tables.
+composing systems and by backtracking over symmetric idempotent tables.
 """
 
 import itertools
@@ -18,7 +18,6 @@ from .bandcore import QuotientSemilattice
 from .optable import (
     OpTable,
     _canonical_forms,
-    check_associative,
     extend,
     multiset_index,
     relabel,
@@ -27,9 +26,7 @@ from .optable import (
 from .structure import StrongSystem, validate_system
 
 ENUMERATE_SIZE_LIMIT = 5
-BRUTE_CANDIDATE_BUDGET = 2**24
-_BRUTE_SCAN_BUDGET = 2**26
-_NP_FILTER_THRESHOLD = 200_000
+BRUTE_CANDIDATE_BUDGET = 2**21
 
 
 @dataclass(frozen=True)
@@ -168,79 +165,83 @@ def _catalog(m: int, n: int, tables, up_to_iso: bool) -> BandCatalog:
     return BandCatalog(m, n, entries, len(tables), iso)
 
 
-def _brute_bands_py(m: int, n: int) -> list[OpTable]:
-    # one value per argument multiset, constants forced by idempotency
-    cells = [ms[0] if ms[0] == ms[-1] else None for ms in multiset_index(m, n).multisets]
-    free = [i for i, v in enumerate(cells) if v is None]
-    out = []
-    for assignment in itertools.product(range(m), repeat=len(free)):
-        for slot, v in zip(free, assignment):
-            cells[slot] = v
-        t = symmetric_table(n, m, cells)
-        if check_associative(t, use_symmetry=True) is None:
-            out.append(t)
-    return out
-
-
-def _brute_bands_binary_np(m: int) -> list[OpTable]:
-    # symmetric idempotent binary tables, free cells = pairs x < y;
-    # candidates are columns of one big int8 matrix, constants appended so
-    # every table cell is some column
-    pairs = [(x, y) for x in range(m) for y in range(x + 1, m)]
-    free_count = len(pairs)
-    total = m**free_count
-    codes = np.arange(total, dtype=np.int64)
-    cols = [
-        ((codes // (m ** (free_count - 1 - j))) % m).astype(np.int8)
-        for j in range(free_count)
-    ]
-    cols.extend(np.full(total, v, dtype=np.int8) for v in range(m))
-    cur = np.stack(cols, axis=1)
-    del cols, codes
-    colmap = np.zeros((m, m), dtype=np.int64)
-    for j, (x, y) in enumerate(pairs):
-        colmap[x, y] = colmap[y, x] = j
-    for v in range(m):
-        colmap[v, v] = free_count + v
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                rows = np.arange(cur.shape[0])
-                v1 = cur[:, colmap[x, y]]
-                lhs = cur[rows, colmap[v1, z]]
-                v2 = cur[:, colmap[y, z]]
-                rhs = cur[rows, colmap[x, v2]]
-                keep = lhs == rhs
-                if not bool(keep.all()):
-                    cur = cur[keep]
-                if cur.shape[0] == 0:
-                    return []
-    out = []
-    for row in cur:
-        values = tuple(int(row[colmap[x, y]]) for x in range(m) for y in range(m))
-        out.append(OpTable(2, m, values))
-    return out
-
-
 def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDGET) -> BandCatalog:
-    """Independent oracle: every symmetric idempotent table (one value per
-    argument multiset, constants forced) filtered by associativity."""
+    """Independent oracle: every symmetric idempotent associative table,
+    found by backtracking over its values on argument multisets.
+
+    Symmetric F is associative iff G(A, B) = F({F(A)} + B) depends only on
+    A + B (n-multiset A, (n-1)-multiset B).  Each value tried for a free
+    multiset is a search node; it registers G under A + B for the pairs it
+    makes evaluable, and a clash prunes.  ResourceError past max_candidates
+    nodes, or up front when the shortest search (free multisets times
+    choices of B) or one table (m^n cells) is larger.  Shares no code with
+    check_associative or the structure theory.
+    """
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
     free = math.comb(m + n - 1, n) - m
-    total = m**free
-    if total > max_candidates:
+    if max(free * math.comb(m + n - 2, n - 1), m**n) > max_candidates:
         raise ResourceError(
-            f"{m}**{free} = {total} candidates exceed the budget {max_candidates}"
+            f"searching {free} multisets of {m}**{n}-cell tables exceeds budget {max_candidates}"
         )
-    if n == 2 and total > _NP_FILTER_THRESHOLD:
-        bands = _brute_bands_binary_np(m)
-    else:
-        if total * m ** (2 * n - 1) > _BRUTE_SCAN_BUDGET:
-            raise ResourceError(
-                f"scanning {total} candidates of arity {n} exceeds the scan budget"
-            )
-        bands = _brute_bands_py(m, n)
+    # multiplicities in base 2n code a multiset, so codes add like multisets
+    unit = [(2 * n) ** x for x in range(m)]
+    cells = list(itertools.combinations_with_replacement(range(m), n))
+    cell_code = [sum(unit[x] for x in c) for c in cells]
+    cell_of = {k: i for i, k in enumerate(cell_code)}
+    halves = itertools.combinations_with_replacement(range(m), n - 1)
+    half_code = [sum(unit[x] for x in b) for b in halves]
+    outer = [[cell_of[h + unit[v]] for h in half_code] for v in range(m)]  # {v} + B
+    splits = [[(x, k - unit[x]) for x in sorted(set(c))] for c, k in zip(cells, cell_code)]
+    values: list = [None] * len(cells)
+    holders: list[list[int]] = [[] for _ in range(m)]  # assigned multisets by value
+    registry: dict[int, int] = {}  # code of A + B -> G(A, B)
+    trail: list = []  # (multiset, registry keys it added), in assignment order
+
+    def assign(c: int, v: int) -> bool:
+        values[c] = v
+        a = cell_code[c]
+        found = [(a + h, values[o]) for h, o in zip(half_code, outer[v]) if values[o] is not None]
+        found += [(cell_code[d] + b, v) for x, b in splits[c] for d in holders[x]]
+        added = []
+        for key, g in found:
+            old = registry.get(key)
+            if old is None:
+                registry[key] = g
+                added.append(key)
+            elif old != g:
+                for k in added:
+                    del registry[k]
+                values[c] = None
+                return False
+        holders[v].append(c)
+        trail.append((c, added))
+        return True
+
+    for x in range(m):
+        assign(cell_of[n * unit[x]], x)  # registers only x^(2n-1) -> x
+    order = [i for i, c in enumerate(cells) if c[0] != c[-1]]
+    flat = [cell_of[sum(unit[x] for x in a)] for a in itertools.product(range(m), repeat=n)]
+    bands = []
+    v = nodes = 0  # v: the next value to try at the current depth
+    while True:
+        depth = len(trail) - m
+        if depth == len(order):
+            bands.append(OpTable(n, m, tuple(values[i] for i in flat)))
+        elif v < m:
+            nodes += 1
+            if nodes > max_candidates:
+                raise ResourceError(f"band search passed the budget of {max_candidates} nodes")
+            v = 0 if assign(order[depth], v) else v + 1
+            continue
+        if depth == 0:
+            break
+        c, added = trail.pop()
+        for key in added:
+            del registry[key]
+        holders[values[c]].pop()
+        v = values[c] + 1
+        values[c] = None
     return _catalog(m, n, bands, up_to_iso=False)
 
 

@@ -227,10 +227,6 @@ class HomMap:
         return dict(self.mapping)
 
 
-def _comparable_pairs(q: QuotientSemilattice) -> set[tuple[int, int]]:
-    return set(q.comparable_pairs())
-
-
 @dataclass(frozen=True)
 class StrongSystem:
     """Semilattice of classes, a group per class, coherent connecting maps.
@@ -260,8 +256,7 @@ class StrongSystem:
                 raise InputError(f"group at slot {i} carries class_index {g.class_index}")
             if g.members != self.partition.classes[i]:
                 raise InputError(f"group {i} members disagree with the partition")
-        expected = _comparable_pairs(self.quotient)
-        if set(self.homs) != expected:
+        if set(self.homs) != set(self.quotient.comparable_pairs()):
             raise InputError("homs must cover exactly the comparable class pairs")
         for (a, b), hom in self.homs.items():
             if hom.from_class != a or hom.to_class != b:

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from narybands import brute_force_bands, enumerate_bands, table_from_function
@@ -63,3 +65,9 @@ def catalog_n3():
 @pytest.fixture(scope="session")
 def catalog_n2():
     return {m: brute_force_bands(m, 2).entries for m in (1, 2, 3, 4)}
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """brute_force_bands, run once per (size, arity) in a session."""
+    return functools.cache(brute_force_bands)

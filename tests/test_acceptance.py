@@ -14,7 +14,6 @@ from narybands import (
     Reduction,
     associated_band,
     band_violation,
-    brute_force_bands,
     brute_force_reductions,
     check_associative,
     check_idempotent,
@@ -25,6 +24,7 @@ from narybands import (
     compose,
     decide_reducible,
     decompose,
+    enumerate_bands,
     extend,
     hom_maps,
     lambda_table,
@@ -113,14 +113,20 @@ def test_07_reducibility_oracle_equivalence(capsys, catalog_n3):
     report(capsys, 7, "reducibility-oracle-equivalence", ok)
 
 
-def test_08_enumeration_matches_brute_force(capsys, catalog_n3):
+def test_08_enumeration_matches_brute_force(capsys, oracle):
+    # (size, arity): (labeled, iso), every row of the README's counts table
+    # plus (4,5)
+    counts = {
+        (1, 3): (1, 1), (2, 3): (3, 2), (3, 3): (18, 4), (4, 3): (197, 14), (5, 3): (3225, 45),
+        (1, 2): (1, 1), (2, 2): (2, 1), (3, 2): (9, 2), (4, 2): (76, 5), (5, 2): (1065, 15),
+        (4, 5): (200, 15),
+    }
     ok = True
-    for m in (1, 2, 3):
-        fast = {t.values for t in catalog_n3[m]}
-        slow = {t.values for t in brute_force_bands(m, 3).entries}
-        ok = ok and fast == slow
-    two = brute_force_bands(2, 3)
-    ok = ok and two.labeled == 3 and two.iso == 2
+    for (m, n), expected in counts.items():
+        fast = enumerate_bands(m, n)
+        slow = oracle(m, n)
+        ok = ok and {t.values for t in fast.entries} == {t.values for t in slow.entries}
+        ok = ok and (fast.labeled, fast.iso) == (slow.labeled, slow.iso) == expected
     report(capsys, 8, "enumeration-matches-brute-force", ok)
 
 

@@ -87,6 +87,16 @@ def test_decompose_rejects_non_band(capsys):
     assert "associative" in err
 
 
+def test_decompose_no_verify_reports_consistency_error(capsys, tmp_path):
+    # without the axiom check a non-band fails an internal cross-check
+    # (ConsistencyError), which exits 1 like any failed property
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"arity": 3, "elements": ["a", "b"], "values": [1] * 8}))
+    code, out, err = run(capsys, "decompose", "--no-verify", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: row 0 does not fix 0; source is not idempotent\n"
+
+
 def test_reduce_exit_codes(capsys):
     code, out, _ = run(capsys, "reduce", F2_PATH)
     assert code == 0
@@ -138,6 +148,12 @@ def test_oracle_bands(capsys):
     code, out, _ = run(capsys, "oracle", "bands", "--size", "2", "--arity", "3", "--count-only")
     assert code == 0
     assert out.strip() == '{"labeled": 3, "iso": 2}'
+
+
+def test_oracle_bands_budget(capsys):
+    code, out, err = run(capsys, "oracle", "bands", "--size", "6", "--arity", "3")
+    assert code == 2 and out == ""
+    assert err == "error: band search passed the budget of 2097152 nodes\n"
 
 
 def test_oracle_reductions(capsys):

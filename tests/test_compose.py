@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -211,8 +212,7 @@ def test_enumerate_closed_under_relabeling(catalog_n3):
 def test_enumerate_binary_gives_semilattices():
     # at arity 2 the class groups are trivial, so the catalog is exactly
     # the commutative idempotent associative tables: the generated meet
-    # semilattices composed.  m = 5 is the only size whose oracle run takes
-    # the vectorized filter.
+    # semilattices composed, and what the oracle's search finds.
     labeled = {1: 1, 2: 2, 3: 9, 4: 76, 5: 1065}
     iso = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15}
     for m in labeled:
@@ -342,21 +342,73 @@ def test_brute_force_golden_counts():
 
 
 def test_brute_force_respects_budget():
-    with pytest.raises(ResourceError):
-        brute_force_bands(4, 3)
+    # the budget counts search nodes: (4,3) needs 6,124 and (6,3) passes
+    # the default 2**21
+    with pytest.raises(ResourceError, match="1000 nodes"):
+        brute_force_bands(4, 3, max_candidates=1000)
+    with pytest.raises(ResourceError, match="10000 nodes"):
+        brute_force_bands(6, 3, max_candidates=10_000)
+    # refused before any search: the (2,30) tables have 2**30 cells each
+    with pytest.raises(ResourceError, match="exceeds budget"):
+        brute_force_bands(2, 30)
 
 
-def test_brute_force_binary_paths_agree():
-    # sizes 3 and 4 both take the plain product loop: 3**3 and 4**6 = 4096
-    # candidates are under the vectorized filter's threshold.  Size 5
-    # (5**10 candidates) is the only binary size that takes the vectorized
-    # filter; test_enumerate_binary_gives_semilattices covers it.
+def test_brute_force_binary_counts():
     small = brute_force_bands(3, 2)
     assert small.labeled == 9 and small.iso == 2
     big = brute_force_bands(4, 2)
     assert big.labeled == 76 and big.iso == 5
     for t in big.entries:
         assert check_symmetric(t) is None
+
+
+def exhaustive_bands(m, n):
+    """Reference for brute_force_bands: every symmetric idempotent table,
+    one value per sorted argument tuple, kept when check_associative passes."""
+    multisets = list(itertools.combinations_with_replacement(range(m), n))
+    free = [ms for ms in multisets if ms[0] != ms[-1]]
+    out = set()
+    for assignment in itertools.product(range(m), repeat=len(free)):
+        cells = dict(zip(free, assignment))
+        cells.update({(x,) * n: x for x in range(m)})
+        t = table_from_function(n, m, lambda *a: cells[tuple(sorted(a))])
+        if check_associative(t, use_symmetry=True) is None:
+            out.add(t.values)
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(1, 3), (2, 3), (3, 3), (3, 2), (4, 2)] + [(2, n) for n in range(2, 8)],
+)
+def test_brute_force_matches_exhaustive_scan(m, n):
+    catalog = brute_force_bands(m, n)
+    values = [t.values for t in catalog.entries]
+    assert len(values) == len(set(values)) == catalog.labeled
+    assert set(values) == exhaustive_bands(m, n)
+
+
+def cauchy_frobenius_iso(tables):
+    """Isomorphism classes among tables closed under relabeling, counted
+    as the mean number of tables a relabeling fixes.  relabel(t, p) = t
+    iff t(p(x1), ..., p(xn)) = p(t(x1, ..., xn)) for every argument tuple."""
+    m, n = tables[0].size, tables[0].arity
+    dense = np.array([t.values for t in tables])
+    digits = np.indices((m,) * n).reshape(n, -1)
+    strides = m ** np.arange(n - 1, -1, -1)
+    fixed = 0
+    for p in itertools.permutations(range(m)):
+        p = np.array(p)
+        moved = strides @ p[digits]
+        fixed += int(np.all(dense[:, moved] == p[dense], axis=1).sum())
+    assert fixed % math.factorial(m) == 0
+    return fixed // math.factorial(m)
+
+
+@pytest.mark.parametrize("m, n, iso", [(4, 3, 14), (4, 5, 15), (5, 2, 15), (5, 3, 45)])
+def test_brute_force_iso_counts_by_cauchy_frobenius(oracle, m, n, iso):
+    catalog = oracle(m, n)
+    assert cauchy_frobenius_iso(catalog.entries) == catalog.iso == iso
 
 
 def test_catalog_matches_brute_force():
