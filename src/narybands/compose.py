@@ -18,6 +18,7 @@ from .bandcore import QuotientSemilattice
 from .optable import (
     OpTable,
     _canonical_forms,
+    _canonical_orbits,
     extend,
     multiset_index,
     relabel,
@@ -155,14 +156,16 @@ class BandCatalog:
             raise InputError("catalog counts are inconsistent")
 
 
-def _catalog(m: int, n: int, tables, up_to_iso: bool) -> BandCatalog:
-    canon = dict(zip((t.values for t in tables), _canonical_forms(tables)))
-    iso = len(set(canon.values()))
+def _catalog(m: int, n: int, orbits: "np.ndarray", up_to_iso: bool) -> BandCatalog:
+    """The catalog of the symmetric tables with the orbit vectors orbits
+    (uint8 rows), sorted as bytes: these order like the tables."""
+    canon = _canonical_orbits(orbits, m, n)
     if up_to_iso:
-        entries = tuple(OpTable(n, m, v) for v in sorted(set(canon.values())))
+        rows = sorted(set(canon))
     else:
-        entries = tuple(sorted(tables, key=lambda t: (canon[t.values], t.values)))
-    return BandCatalog(m, n, entries, len(tables), iso)
+        rows = [own for _, own in sorted(zip(canon, map(bytes, orbits)))]
+    entries = (symmetric_table(n, m, np.frombuffer(row, dtype=np.uint8)) for row in rows)
+    return BandCatalog(m, n, entries, len(orbits), len(set(canon)))
 
 
 def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDGET) -> BandCatalog:
@@ -221,13 +224,12 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
     for x in range(m):
         assign(cell_of[n * unit[x]], x)  # registers only x^(2n-1) -> x
     order = [i for i, c in enumerate(cells) if c[0] != c[-1]]
-    flat = [cell_of[sum(unit[x] for x in a)] for a in itertools.product(range(m), repeat=n)]
-    bands = []
+    bands = []  # orbit vectors: cells are in multiset_index order
     v = nodes = 0  # v: the next value to try at the current depth
     while True:
         depth = len(trail) - m
         if depth == len(order):
-            bands.append(OpTable(n, m, tuple(values[i] for i in flat)))
+            bands.append(values.copy())
         elif v < m:
             nodes += 1
             if nodes > max_candidates:
@@ -242,7 +244,7 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
         holders[values[c]].pop()
         v = values[c] + 1
         values[c] = None
-    return _catalog(m, n, bands, up_to_iso=False)
+    return _catalog(m, n, np.array(bands, dtype=np.uint8), up_to_iso=False)
 
 
 @lru_cache(maxsize=None)
@@ -421,35 +423,45 @@ def _multiset_args(size: int, arity: int) -> "np.ndarray":
     return args
 
 
-def _compose_orbits(n, class_of, meet, members, cayleys, images) -> "np.ndarray":
-    """Values of a composed band on its argument multisets of arity n.
+def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
+    """Values on the argument multisets of arity n of the bands composed
+    from systems on the same classes, one row per system.
 
-    class_of[x] is the class of element x and meet the k x k meet table of
-    the classes.  Class c has the elements members[c], in position order,
-    and the group cayleys[c], a flat table of positions.  images[x, c] is
-    the position in class c of the image of x, for every class c at or
-    below the class of x.  Each multiset is sent into the meet of its
-    classes and its images are multiplied there: the meet is commutative
-    and the groups are Abelian, so one value per multiset fixes the table.
+    class_of[x] is the class of element x; class c has the elements
+    members[c], in position order.  System s has the k x k meet table
+    meets[s], its class groups' flat tables of positions laid end to end
+    in cayleys[s], and the m x k matrix images[s] (flat or not): the
+    position in class c of the image of x, for every c at or below the
+    class of x.  Each multiset is sent into the meet of its classes and
+    its images are multiplied there: the meet is commutative and the
+    groups are Abelian, so one value per multiset fixes the table.
     """
-    args = _multiset_args(len(class_of), n)
+    m, k = len(class_of), len(members)
+    args = _multiset_args(m, n)
     arg_classes = np.asarray(class_of, dtype=np.intp)[args]
+    meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
+    cayley = np.asarray(cayleys, dtype=np.intp).reshape(len(meet), -1)
+    image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
+    row = np.arange(len(meet))[:, None]
     alpha = arg_classes[:, 0]
     for j in range(1, n):
-        alpha = meet[alpha, arg_classes[:, j]]
-    orders = np.array([len(c) for c in members], dtype=np.intp)
+        alpha = meet[row, alpha, arg_classes[:, j]]
+    sizes = [len(c) for c in members]
     # the classes' tables and members laid end to end, class c's starting
     # at cayley_start[c] and member_start[c]
-    cayley_start = np.cumsum(orders**2) - orders**2
-    member_start = np.cumsum(orders) - orders
-    cayley = np.concatenate(cayleys).astype(np.intp, copy=False)
+    cayley_start = np.array([0, *itertools.accumulate(s * s for s in sizes[:-1])])
+    member_start = np.array([0, *itertools.accumulate(sizes[:-1])])
     base = cayley_start[alpha]
-    order = orders[alpha]
-    pos = images[args, alpha[:, None]]
-    acc = pos[:, 0]
+    order = np.array(sizes)[alpha]
+    # in place, so that a batch holds few (systems x multisets) arrays
+    acc = image[row, args[:, 0], alpha]
     for j in range(1, n):
-        acc = cayley[base + acc * order + pos[:, j]]
-    return np.concatenate(members)[member_start[alpha] + acc]
+        acc *= order
+        acc += base
+        acc += image[row, args[:, j], alpha]
+        acc = cayley[row, acc]
+    acc += member_start[alpha]
+    return np.array([x for c in members for x in c])[acc]
 
 
 def compose(system: StrongSystem, arity: int | None = None, verify: bool = True) -> OpTable:
@@ -470,19 +482,15 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
             raise DomainError(f"system fails validation: {summary}")
     groups = system.groups
     k = len(groups)
-    images = np.zeros((system.size, k), dtype=np.intp)
+    images = [0] * (system.size * k)
     for (_, lower), hom in system.homs.items():
         for x, image in hom.mapping:
-            images[x, lower] = groups[lower].position(image)
-    orbit = _compose_orbits(
-        n,
-        system.partition.class_of,
-        np.asarray(system.quotient.meet.values, dtype=np.intp).reshape(k, k),
-        [g.members for g in groups],
-        [g.cayley.values for g in groups],
-        images,
-    )
-    return symmetric_table(n, system.size, orbit)
+            images[x * k + lower] = groups[lower].position(image)
+    members = [g.members for g in groups]
+    cayley = [v for g in groups for v in g.cayley.values]
+    meet = system.quotient.meet.values
+    orbits = _compose_orbits(n, system.partition.class_of, members, [meet], [cayley], [images])
+    return symmetric_table(n, system.size, orbits[0])
 
 
 def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
@@ -490,38 +498,39 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
     composing systems: partition x semilattice x class groups x coherent
     connecting maps.
 
-    Distinctness of all composed tables is asserted, since a band
-    determines its system up to per-class neutral choice.
+    The systems of each set partition are composed in one batch, and
+    distinctness of all the tables is asserted on their orbit vectors,
+    since a band determines its system up to per-class neutral choice.
     """
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
     if m > ENUMERATE_SIZE_LIMIT:
         raise ResourceError(f"enumeration supports at most {ENUMERATE_SIZE_LIMIT} elements")
-    tables = []
-    seen = set()
+    blocks = []
     for classes in _set_partitions(m):
         options = [_class_structures(len(c), n) for c in classes]
         if any(not o for o in options):
             continue
         k = len(classes)
         class_of = [0] * m
-        own = np.zeros((m, k), dtype=np.intp)  # each element's position in its class
+        own = [0] * (m * k)  # own[x * k + c]: position of x in its class c
         for c, members in enumerate(classes):
             for i, x in enumerate(members):
                 class_of[x] = c
-                own[x, c] = i
+                own[x * k + c] = i
+        systems = []  # (meet, cayley, image) per system, as _compose_orbits takes them
         for meet, plan in _semilattices(k):
             for assign in itertools.product(*options):
                 bases = [entry[1] for entry in assign]
-                cayleys = [base.values for base in bases]
+                cayley = [v for base in bases for v in base.values]
                 for phi in _hom_systems(plan, bases, n):
-                    images = own.copy()
+                    image = own.copy()
                     for (g, c), pmap in phi.items():
-                        images[classes[g], c] = pmap
-                    orbit = _compose_orbits(n, class_of, meet, classes, cayleys, images)
-                    t = symmetric_table(n, m, orbit)
-                    if t.values in seen:
-                        raise ConsistencyError("two distinct systems composed equal")
-                    seen.add(t.values)
-                    tables.append(t)
-    return _catalog(m, n, tables, up_to_iso)
+                        for x, p in zip(classes[g], pmap):
+                            image[x * k + c] = p
+                    systems.append((meet, cayley, image))
+        blocks.append(_compose_orbits(n, class_of, classes, *zip(*systems)).astype(np.uint8))
+    orbits = np.concatenate(blocks)
+    if len(set(map(bytes, orbits))) < len(orbits):
+        raise ConsistencyError("two distinct systems composed equal")
+    return _catalog(m, n, orbits, up_to_iso)

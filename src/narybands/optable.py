@@ -481,37 +481,47 @@ def canonical_form(t: OpTable, size_limit: int = CANONICAL_SIZE_LIMIT) -> OpTabl
     return symmetric_table(t.arity, m, best)
 
 
-def _canonical_forms(tables: Sequence[OpTable]) -> list[tuple[int, ...]]:
-    """canonical_form(t).values for each table, relabeling each isomorphism
-    class once.
+def _canonical_orbits(orbits: "np.ndarray", size: int, arity: int) -> list[bytes]:
+    """The least relabeling of each row of orbits (orbit vectors of
+    symmetric tables, uint8), as bytes, which order like the tables.
 
-    The first symmetric table of a class records every relabeled orbit
-    vector under the least one, and any later table among them is looked
-    up: it is a relabeling of the first, so it has the same canonical form.
-    Other tables, and sizes outside 2..CANONICAL_SIZE_LIMIT, go through
-    canonical_form.
+    The first row of an isomorphism class records every relabeled orbit
+    vector under the least one; any later row of the class is looked up.
     """
-    known: dict[tuple[int, int], dict[bytes, tuple[int, ...]]] = {}
-    out = []
-    for t in tables:
-        m, n = t.size, t.arity
-        orbit = _orbit_values(t) if 2 <= m <= CANONICAL_SIZE_LIMIT else None
-        if orbit is None:
-            out.append(canonical_form(t).values)
-            continue
-        # one byte per orbit value (m <= CANONICAL_SIZE_LIMIT), so the byte
-        # strings also order like the orbit vectors
-        forms = known.setdefault((m, n), {})
-        key = orbit.astype(np.uint8).tobytes()
+    if size > CANONICAL_SIZE_LIMIT:
+        raise ResourceError(
+            f"canonical form scans {size}! relabelings (limit {CANONICAL_SIZE_LIMIT}!)"
+        )
+    forms: dict[bytes, bytes] = {}
+    for orbit in orbits:
+        key = orbit.tobytes()
         if key not in forms:
             relabeled = [
                 row.tobytes()
-                for rows in _relabeled_orbits(orbit, m, n)
+                for rows in _relabeled_orbits(orbit, size, arity)
                 for row in rows.astype(np.uint8)
             ]
-            canon = symmetric_table(n, m, list(min(relabeled))).values
-            forms.update(dict.fromkeys(relabeled, canon))
-        out.append(forms[key])
+            forms.update(dict.fromkeys(relabeled, min(relabeled)))
+    return [forms[orbit.tobytes()] for orbit in orbits]
+
+
+def _canonical_forms(tables: Sequence[OpTable]) -> list[tuple[int, ...]]:
+    """canonical_form(t).values for each table: symmetric tables of one
+    size in 2..CANONICAL_SIZE_LIMIT and one arity through _canonical_orbits,
+    the others through canonical_form."""
+    out: list = [None] * len(tables)
+    groups: dict[tuple[int, int], dict[int, "np.ndarray"]] = {}
+    for i, t in enumerate(tables):
+        orbit = _orbit_values(t) if 2 <= t.size <= CANONICAL_SIZE_LIMIT else None
+        if orbit is None:
+            out[i] = canonical_form(t).values
+        else:
+            groups.setdefault((t.size, t.arity), {})[i] = orbit
+    for (m, n), orbits in groups.items():
+        canon = _canonical_orbits(np.array(list(orbits.values()), dtype=np.uint8), m, n)
+        values = {c: symmetric_table(n, m, np.frombuffer(c, np.uint8)).values for c in set(canon)}
+        for i, c in zip(orbits, canon):
+            out[i] = values[c]
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -136,6 +137,25 @@ def test_enumerate_count_only_and_iso(capsys):
     assert out.strip() == '{"labeled": 18, "iso": 4}'
     code, out, _ = run(capsys, "enumerate", "--size", "3", "--arity", "3", "--up-to-iso")
     assert len(out.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--size", "4", "--arity", "3"), "6602fd4e15954d0c"),
+        (("--size", "4", "--arity", "3", "--up-to-iso"), "8f37db57ebbc55eb"),
+        (("--size", "4", "--arity", "5"), "3b078191410dbe38"),
+        (("--size", "5", "--arity", "2"), "fea2c507e21510ab"),
+        (("--size", "5", "--arity", "3"), "3c76b1fd98e03b6f"),
+        (("--size", "5", "--arity", "3", "--up-to-iso"), "fcb00fd354bf647c"),
+    ],
+)
+def test_enumerate_output_is_pinned(capsys, argv, digest):
+    # the first 16 hex digits of the SHA-256 of stdout pin every table and
+    # the catalog order
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_enumerate_budget(capsys):

@@ -322,6 +322,47 @@ def test_enumerate_relabels_once_per_class(monkeypatch):
     assert len(scans) == 14
 
 
+def test_enumerate_rejects_equal_composed_systems(monkeypatch):
+    hom_systems = compose_module._hom_systems
+
+    def twice(*args):
+        for phi in hom_systems(*args):
+            yield phi
+            yield phi
+
+    monkeypatch.setattr(compose_module, "_hom_systems", twice)
+    with pytest.raises(ConsistencyError, match="two distinct systems composed equal"):
+        enumerate_bands(3, 3)
+
+
+@pytest.mark.parametrize("n, labeled", [(3, 197), (5, 200)])
+def test_batched_compose_matches_one_system_calls(monkeypatch, n, labeled):
+    # each batch that enumeration composes is checked against the kernel
+    # run on each of its systems alone
+    kernel = compose_module._compose_orbits
+    batches = []
+
+    def checking(arity, class_of, members, meets, cayleys, images):
+        out = kernel(arity, class_of, members, meets, cayleys, images)
+        alone = [
+            kernel(arity, class_of, members, [meet], [cayley], [image])[0]
+            for meet, cayley, image in zip(meets, cayleys, images)
+        ]
+        assert np.array_equal(out, np.array(alone))
+        batches.append(({len(c) for c in members}, len(meets)))
+        return out
+
+    monkeypatch.setattr(compose_module, "_compose_orbits", checking)
+    assert enumerate_bands(4, n).labeled == labeled
+    # some batch stacks several systems on classes of different sizes
+    assert any(len(sizes) > 1 and count > 1 for sizes, count in batches)
+
+
+def test_compose_inverts_decompose_on_the_4_5_catalog():
+    for t in enumerate_bands(4, 5).entries:
+        assert compose(decompose(t, verify=False)).values == t.values
+
+
 def test_enumerate_validates_input():
     with pytest.raises(InputError):
         enumerate_bands(0, 3)
