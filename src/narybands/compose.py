@@ -17,10 +17,14 @@ from .errors import ConsistencyError, DomainError, InputError, ResourceError
 from .bandcore import QuotientSemilattice
 from .optable import (
     OpTable,
+    _byte_strings,
     _canonical_forms,
     _canonical_orbits,
+    _multiset_args,
+    _orbit_values,
+    _permutations,
+    _relabeled_orbits,
     extend,
-    multiset_index,
     relabel,
     symmetric_table,
 )
@@ -348,17 +352,28 @@ def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
 def _class_structures(size: int, arity: int):
     """Distinct arity-ary group extensions on a class of the given size.
 
-    Each entry is (extension table, one binary group table producing it);
-    extensions from different neutrals coincide, so the dictionary keyed by
-    extension values dedupes them.
+    Each entry is (extension table, one binary group table producing it).
+    Relabeling commutes with extension, so each group type's extension is
+    relabeled once through the scan of _relabeled_orbits; each distinct
+    extension keeps the group relabeled by the first permutation, in
+    itertools order, that gives it.  Extensions from different neutrals
+    coincide, so this dedupes them.
     """
-    found: dict[tuple[int, ...], OpTable] = {}
+    perms = _permutations(size)[0]
+    found: dict[bytes, OpTable] = {}
     for factors in _factor_multisets(size, arity - 1):
         base = make_group(GroupSpec(size, factors), arity)
-        for perm in itertools.permutations(range(size)):
-            g = relabel(base, perm)
-            found.setdefault(extend(g, arity - 1).values, g)
-    return tuple((OpTable(arity, size, v), g) for v, g in sorted(found.items()))
+        orbit = _orbit_values(extend(base, arity - 1))
+        lo = 0
+        for rows in _relabeled_orbits(orbit, size, arity):
+            _, first = np.unique(_byte_strings(rows), return_index=True)
+            for p in first:
+                found.setdefault(rows[p].tobytes(), relabel(base, perms[lo + p]))
+            lo += len(rows)
+    return tuple(
+        (symmetric_table(arity, size, np.frombuffer(v, dtype=np.uint8)), g)
+        for v, g in sorted(found.items())
+    )
 
 
 def _set_partitions(m: int):
@@ -414,13 +429,6 @@ def _hom_systems(steps, bases, arity: int):
                     del phi[pair]
 
     yield from rec(0)
-
-
-@lru_cache(maxsize=64)
-def _multiset_args(size: int, arity: int) -> "np.ndarray":
-    args = np.asarray(multiset_index(size, arity).multisets, dtype=np.intp)
-    args.flags.writeable = False
-    return args
 
 
 def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":

@@ -20,8 +20,8 @@ from .errors import ConsistencyError, InputError, ResourceError
 EXTEND_CELL_BUDGET = 2**28
 CANONICAL_SIZE_LIMIT = 8
 _VECTOR_SCAN_THRESHOLD = 10_000
-# canonical_form relabels symmetric tables in chunks of permutations, each
-# chunk holding at most this many (permutation, multiset, argument) cells
+# relabelings are scanned in chunks of permutations, each chunk holding at
+# most this many (permutation, cell, argument) entries
 _RELABEL_CHUNK_CELLS = 2**20
 
 
@@ -327,18 +327,12 @@ def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTab
         raise ResourceError(
             f"extension table would need {m}**{out_arity} cells (budget {max_cells})"
         )
-    inner = t.values
-    current = list(t.values)
+    inner = np.asarray(t.values, dtype=np.intp)
+    current = inner
     for _ in range(times - 1):
-        grown = []
-        append = grown.append
         # grown[P * m**n + Q] = current[P * m + inner[Q]]
-        for prefix in range(len(current) // m):
-            base = prefix * m
-            for v in inner:
-                append(current[base + v])
-        current = grown
-    return OpTable(out_arity, m, tuple(current))
+        current = current.reshape(-1, m)[:, inner].ravel()
+    return OpTable(out_arity, m, tuple(current.tolist()))
 
 
 def neutral_elements(t: OpTable) -> frozenset[int]:
@@ -364,15 +358,33 @@ def relabel(t: OpTable, perm: Sequence[int]) -> OpTable:
     m = t.size
     if sorted(perm) != list(range(m)):
         raise InputError(f"relabeling {perm!r} is not a permutation of 0..{m - 1}")
-    values = [0] * len(t.values)
-    for args in itertools.product(range(m), repeat=t.arity):
-        code = 0
-        new_code = 0
-        for a in args:
-            code = code * m + a
-            new_code = new_code * m + perm[a]
-        values[new_code] = perm[t.values[code]]
-    return OpTable(t.arity, m, tuple(values))
+    perm = np.asarray(perm, dtype=np.intp)
+    source = _relabel_source(np.argsort(perm)[None], m, t.arity, m**t.arity)[0]
+    return OpTable(t.arity, m, tuple(perm[np.asarray(t.values, dtype=np.intp)[source]].tolist()))
+
+
+@lru_cache(maxsize=64)
+def _multiset_args(size: int, arity: int) -> "np.ndarray":
+    """The sorted argument tuple of each multiset, one row per multiset."""
+    args = np.asarray(multiset_index(size, arity).multisets, dtype=np.intp)
+    args.flags.writeable = False
+    return args
+
+
+def _relabel_source(inverse: "np.ndarray", size: int, arity: int, cells: int) -> "np.ndarray":
+    """source[p, j]: the cell whose value relabeling by the permutation
+    with inverse inverse[p] moves to cell j.  There is one cell per
+    argument multiset, or per argument tuple if there are size**arity."""
+    dense = cells == size**arity
+    if dense:
+        args = np.indices((size,) * arity, dtype=np.intp).reshape(arity, -1).T
+    else:
+        args = _multiset_args(size, arity)
+    inverse = np.asarray(inverse, dtype=np.intp)
+    code = 0
+    for k, stride in enumerate(_strides(size, arity)):
+        code = code + inverse[:, args[:, k]] * stride
+    return code if dense else multiset_index(size, arity).orbit_of[code]
 
 
 @lru_cache(maxsize=2)
@@ -385,142 +397,97 @@ def _permutations(size: int) -> tuple["np.ndarray", "np.ndarray"]:
 
 
 @lru_cache(maxsize=4)
-def _relabeling_chunk(size: int, arity: int, lo: int, count: int):
-    index = multiset_index(size, arity)
+def _relabeling_chunk(size: int, arity: int, cells: int, lo: int, count: int):
     perms, inverse = _permutations(size)
-    inverse = inverse[lo : lo + count].astype(np.intp)
-    code = 0
-    for k, stride in enumerate(_strides(size, arity)):
-        code = code + inverse[:, [ms[k] for ms in index.multisets]] * stride
-    source = index.orbit_of[code]
+    source = _relabel_source(inverse[lo : lo + count], size, arity, cells)
     _read_only(source)
     return perms[lo : lo + count], source
 
 
-def _relabelings(size: int, arity: int):
-    """Carrier permutations in itertools order, in chunks of bounded size.
+def _relabeled_orbits(row: "np.ndarray", size: int, arity: int):
+    """Every relabeling of a table, given its values on the cells of one
+    index: its orbit vector (values on the argument multisets) if it is
+    symmetric, every value otherwise.  The row's length tells which.
 
-    Yields (perms, source): relabeling a symmetric table by perms[p] gives
-    multiset j the value perms[p][v] for v the old value on multiset
-    source[p, j], the image of multiset j under the inverse permutation.
+    Yields the relabeled rows in chunks of bounded size, permutations in
+    itertools order: relabeling by perms[p] gives cell j the value
+    perms[p][v] for v the old value on cell source[p, j] (_relabel_source).
     """
-    count = max(1, _RELABEL_CHUNK_CELLS // (math.comb(size + arity - 1, arity) * arity))
+    cells = len(row)
+    count = max(1, _RELABEL_CHUNK_CELLS // (cells * arity))
     for lo in range(0, math.factorial(size), count):
-        yield _relabeling_chunk(size, arity, lo, count)
+        perms, source = _relabeling_chunk(size, arity, cells, lo, count)
+        yield np.take_along_axis(perms, row[source], axis=1)
 
 
-def _relabeled_orbits(orbit: "np.ndarray", size: int, arity: int):
-    """The orbit vectors of every relabeling of a symmetric table, given its
-    own, as rows of chunks in the order of _relabelings."""
-    for perms, source in _relabelings(size, arity):
-        yield np.take_along_axis(perms, orbit[source], axis=1)
+def _byte_strings(rows: "np.ndarray") -> "np.ndarray":
+    # each uint8 row as one fixed-width byte string; these order like the
+    # rows, and numpy drops only trailing zero bytes, so rows of one width
+    # still have one string each
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"S{rows.shape[1]}").ravel()
 
 
-def _least_row(rows: "np.ndarray") -> list[int]:
-    """The lexicographically least row of a 2-D array of small integers.
-
-    Each row is read as one fixed-width big-endian byte string; these
-    strings order like the rows.
-    """
-    dtype = np.min_scalar_type(rows.max()).newbyteorder(">")
-    strings = np.ascontiguousarray(rows, dtype=dtype).view(f"S{rows.shape[1] * dtype.itemsize}")
-    return rows[strings.argmin()].tolist()
-
-
-def _canonical_dense(t: OpTable) -> OpTable:
-    """canonical_form of any table, relabeling every cell."""
-    m = t.size
-    values = t.values
-    arg_rows = list(itertools.product(range(m), repeat=t.arity))
-    best = None
-    for perm in itertools.permutations(range(m)):
-        inv = [0] * m
-        for i, p in enumerate(perm):
-            inv[p] = i
-        # relabeled[code(args)] = perm[values[code(inv(args))]], compared
-        # against the best candidate cell by cell so losers abort early
-        cand = []
-        undecided = best is not None
-        worse = False
-        for row in arg_rows:
-            code = 0
-            for d in row:
-                code = code * m + inv[d]
-            v = perm[values[code]]
-            if undecided:
-                b = best[len(cand)]
-                if v > b:
-                    worse = True
-                    break
-                if v < b:
-                    undecided = False
-            cand.append(v)
-        if not worse:
-            best = cand
-    return OpTable(t.arity, m, tuple(best))
-
-
-def canonical_form(t: OpTable, size_limit: int = CANONICAL_SIZE_LIMIT) -> OpTable:
+def canonical_form(t: OpTable) -> OpTable:
     """Least relabeling of t: the values-lexicographic minimum over all
     carrier permutations.  Two tables are isomorphic iff their canonical
     forms are equal.
 
     A symmetric table is relabeled on its argument multisets only, whose
     values order its relabelings as the full tables (MultisetIndex); any
-    other table is relabeled cell by cell.
+    other table is relabeled on every argument tuple (_canonical_orbits).
     """
-    m = t.size
-    if m > size_limit:
-        raise ResourceError(f"canonical form scans {m}! relabelings (limit {size_limit}!)")
-    if m == 1:
-        return t
-    orbit = _orbit_values(t)
-    if orbit is None:
-        return _canonical_dense(t)
-    best = min(_least_row(rows) for rows in _relabeled_orbits(orbit, m, t.arity))
-    return symmetric_table(t.arity, m, best)
+    return OpTable(t.arity, t.size, _canonical_forms([t])[0])
 
 
-def _canonical_orbits(orbits: "np.ndarray", size: int, arity: int) -> list[bytes]:
-    """The least relabeling of each row of orbits (orbit vectors of
-    symmetric tables, uint8), as bytes, which order like the tables.
+def _canonical_orbits(rows: "np.ndarray", size: int, arity: int) -> list[bytes]:
+    """The least relabeling of each row of rows, as uint8 bytes, which
+    order like the tables.  Each row holds one table's values on the cells
+    of one index (_relabeled_orbits).
 
-    The first row of an isomorphism class records every relabeled orbit
-    vector under the least one; any later row of the class is looked up.
+    The first row of an isomorphism class is relabeled chunk by chunk,
+    keeping the least relabeling so far and the class's other rows found
+    among the chunk, so one chunk at a time is held.
     """
     if size > CANONICAL_SIZE_LIMIT:
         raise ResourceError(
             f"canonical form scans {size}! relabelings (limit {CANONICAL_SIZE_LIMIT}!)"
         )
+    rows = np.asarray(rows, dtype=np.uint8)
+    keys = _byte_strings(rows).tolist()
+    wanted = set(keys)
     forms: dict[bytes, bytes] = {}
-    for orbit in orbits:
-        key = orbit.tobytes()
-        if key not in forms:
-            relabeled = [
-                row.tobytes()
-                for rows in _relabeled_orbits(orbit, size, arity)
-                for row in rows.astype(np.uint8)
-            ]
-            forms.update(dict.fromkeys(relabeled, min(relabeled)))
-    return [forms[orbit.tobytes()] for orbit in orbits]
+    for row, key in zip(rows, keys):
+        if key in forms:
+            continue
+        least = None
+        members: set[bytes] = set()
+        for relabeled in _relabeled_orbits(row, size, arity):
+            strings = _byte_strings(relabeled)
+            best = relabeled[strings.argmin()].tobytes()
+            least = best if least is None else min(least, best)
+            members.update(wanted.intersection(strings.tolist()))
+        forms.update(dict.fromkeys(members, least))
+    return [forms[key] for key in keys]
 
 
 def _canonical_forms(tables: Sequence[OpTable]) -> list[tuple[int, ...]]:
-    """canonical_form(t).values for each table: symmetric tables of one
-    size in 2..CANONICAL_SIZE_LIMIT and one arity through _canonical_orbits,
-    the others through canonical_form."""
-    out: list = [None] * len(tables)
-    groups: dict[tuple[int, int], dict[int, "np.ndarray"]] = {}
+    """canonical_form(t).values for each table.  The tables of one size,
+    arity and index (argument multisets if symmetric, else every argument
+    tuple) are scanned together by _canonical_orbits."""
+    groups: dict[tuple[int, int, int], dict[int, "np.ndarray"]] = {}
     for i, t in enumerate(tables):
-        orbit = _orbit_values(t) if 2 <= t.size <= CANONICAL_SIZE_LIMIT else None
-        if orbit is None:
-            out[i] = canonical_form(t).values
-        else:
-            groups.setdefault((t.size, t.arity), {})[i] = orbit
-    for (m, n), orbits in groups.items():
-        canon = _canonical_orbits(np.array(list(orbits.values()), dtype=np.uint8), m, n)
-        values = {c: symmetric_table(n, m, np.frombuffer(c, np.uint8)).values for c in set(canon)}
-        for i, c in zip(orbits, canon):
+        row = _orbit_values(t)
+        if row is None:
+            row = np.asarray(t.values, dtype=np.intp)
+        groups.setdefault((t.size, t.arity, len(row)), {})[i] = row
+    out: list = [None] * len(tables)
+    for (m, n, cells), rows in groups.items():
+        canon = _canonical_orbits(np.array(list(rows.values())), m, n)
+        values = {}
+        for c in set(canon):
+            row = np.frombuffer(c, dtype=np.uint8)
+            values[c] = tuple(row.tolist()) if cells == m**n else symmetric_table(n, m, row).values
+        for i, c in zip(rows, canon):
             out[i] = values[c]
     return out
 

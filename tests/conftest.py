@@ -1,8 +1,9 @@
 import functools
+import itertools
 
 import pytest
 
-from narybands import brute_force_bands, enumerate_bands, table_from_function
+from narybands import OpTable, brute_force_bands, enumerate_bands, table_from_function
 
 # The two 4-element ternary bands used as golden data throughout, stored by
 # sorted argument multiset.  Both share the diagonal and the classes {0},{1},
@@ -29,6 +30,22 @@ F2_MULTISET = {
 
 def from_multiset(multiset, arity=3, size=4):
     return table_from_function(arity, size, lambda *a: multiset[tuple(sorted(a))])
+
+
+def relabel_cells(t, perm):
+    """Reference relabeling, cell by cell and sharing no code with the
+    library's scan: the relabeled table maps (perm[a1], ..., perm[an]) to
+    perm[t(a1, ..., an)]."""
+    m = t.size
+    values = [0] * len(t.values)
+    for args in itertools.product(range(m), repeat=t.arity):
+        code = 0
+        new_code = 0
+        for a in args:
+            code = code * m + a
+            new_code = new_code * m + perm[a]
+        values[new_code] = perm[t.values[code]]
+    return OpTable(t.arity, m, tuple(values))
 
 
 @pytest.fixture(scope="session")

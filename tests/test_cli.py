@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -211,6 +212,26 @@ def test_isomorphic_relabeled(capsys, tmp_path):
     other.write_text(json.dumps({"arity": 3, "elements": ["a", "b", "c", "d"], "values": relabeled}))
     code, out, _ = run(capsys, "isomorphic", F2_PATH, str(other))
     assert code == 0
+
+
+def test_isomorphic_non_symmetric(capsys, tmp_path):
+    # x - y + z mod 4 is not symmetric; relabeled by p it is p(p^-1(x) - p^-1(y) + p^-1(z))
+    perm = (2, 0, 3, 1)
+    inverse = [perm.index(x) for x in range(4)]
+    tables = {
+        "t": lambda x, y, z: (x - y + z) % 4,
+        "relabeled": lambda x, y, z: perm[(inverse[x] - inverse[y] + inverse[z]) % 4],
+        "other": lambda x, y, z: (x + y - z) % 4,
+    }
+    paths = {}
+    for name, fn in tables.items():
+        values = [fn(*args) for args in itertools.product(range(4), repeat=3)]
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"arity": 3, "elements": list("abcd"), "values": values}))
+    code, out, _ = run(capsys, "isomorphic", str(paths["t"]), str(paths["relabeled"]))
+    assert (code, out) == (0, "isomorphic\n")
+    code, out, _ = run(capsys, "isomorphic", str(paths["t"]), str(paths["other"]))
+    assert (code, out) == (1, "not isomorphic\n")
 
 
 def test_stdin_input(capsys, monkeypatch):

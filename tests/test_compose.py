@@ -28,9 +28,10 @@ from narybands import (
     make_group,
     nary_homs,
     neutral_elements,
-    relabel,
     table_from_function,
 )
+
+from conftest import relabel_cells
 
 # the package re-exports the function compose under the module's name
 compose_module = importlib.import_module("narybands.compose")
@@ -46,6 +47,37 @@ def test_make_group_cyclic():
         for y in range(3):
             assert g.eval((x, y)) == (x + y) % 3
     assert neutral_elements(g) == frozenset({0})
+
+
+def class_structures_reference(size, arity):
+    """_class_structures by relabeling each group every way, cell by cell,
+    and extending each relabeling: the first relabeling giving an
+    extension is kept."""
+    found = {}
+    for factors in compose_module._factor_multisets(size, arity - 1):
+        base = make_group(GroupSpec(size, factors), arity)
+        for perm in itertools.permutations(range(size)):
+            g = relabel_cells(base, perm)
+            found.setdefault(extend(g, arity - 1).values, g)
+    return [(v, g.values) for v, g in sorted(found.items())]
+
+
+@pytest.mark.parametrize("size, arity", [(2, 3), (3, 3), (4, 3), (2, 5), (4, 5), (3, 4), (5, 6)])
+def test_class_structures_match_reference(size, arity):
+    got = compose_module._class_structures(size, arity)
+    assert [(t.values, g.values) for t, g in got] == class_structures_reference(size, arity)
+    assert all(t.arity == arity and t.size == size for t, _ in got)
+
+
+def test_class_structures_of_size_6_at_arity_7():
+    # Z6 has 6 translations and 2 automorphisms: 720 / (6 * 2) labelings
+    try:
+        got = compose_module._class_structures(6, 7)
+        assert len(got) == 60
+        assert len({g.values for _, g in got}) == 60
+    finally:
+        # 60 tables of 6**7 cells: do not hold them for the session
+        compose_module._class_structures.cache_clear()
 
 
 def test_make_group_digit_order():
@@ -185,7 +217,7 @@ def test_enumerate_entries_sorted_and_distinct(catalog_n3):
     # relabeling, tables within a class by their own values
     for m in catalog_n3:
         keys = [
-            (min(relabel(t, p).values for p in itertools.permutations(range(m))), t.values)
+            (min(relabel_cells(t, p).values for p in itertools.permutations(range(m))), t.values)
             for t in catalog_n3[m]
         ]
         assert keys == sorted(keys)
@@ -206,7 +238,7 @@ def test_enumerate_closed_under_relabeling(catalog_n3):
     values = {t.values for t in catalog_n3[3]}
     for t in catalog_n3[3]:
         for perm in itertools.permutations(range(3)):
-            assert relabel(t, perm).values in values
+            assert relabel_cells(t, perm).values in values
 
 
 def test_enumerate_binary_gives_semilattices():
@@ -255,7 +287,7 @@ def test_enumerate_validates_each_meet_class_once(monkeypatch):
     # every labeled meet table is a relabeling of a checked one
     for k in range(1, 5):
         relabelings = {
-            relabel(v, p).values
+            relabel_cells(v, p).values
             for v in built
             if v.size == k
             for p in itertools.permutations(range(k))
@@ -306,9 +338,11 @@ def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
 
 
 def test_enumerate_relabels_once_per_class(monkeypatch):
-    # warm the meet tables first, so only the band classes are counted
+    # warm the meet tables and class structures first, so only the band
+    # classes are counted
     for k in range(1, 5):
         compose_module._semilattices(k)
+        compose_module._class_structures(k, 3)
     scans = []
     relabeled_orbits = optable_module._relabeled_orbits
 

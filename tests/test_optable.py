@@ -34,6 +34,8 @@ from narybands import (
 )
 from narybands.errors import DomainError
 
+from conftest import relabel_cells
+
 optable_module = importlib.import_module("narybands.optable")
 
 
@@ -95,7 +97,16 @@ def transposition_witness(t):
 
 def least_relabeling(t):
     """Dense reference for canonical_form: the least relabeled value tuple."""
-    return min(relabel(t, p).values for p in itertools.permutations(range(t.size)))
+    return min(relabel_cells(t, p).values for p in itertools.permutations(range(t.size)))
+
+
+@st.composite
+def any_tables(draw):
+    """A random table, m <= 4 and n <= 3, symmetric or not."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3))
+    values = draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n))
+    return OpTable(n, m, tuple(values))
 
 
 def test_codec_round_trip():
@@ -249,6 +260,20 @@ def test_extend_arity_formula(xor3):
     assert extend(xor3, 2).arity == 5
 
 
+@given(any_tables(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_extend_matches_right_nesting(t, times):
+    out = extend(t, times)
+    n = t.arity
+    for args in itertools.product(range(t.size), repeat=out.arity):
+        # fold the last n arguments first, then each earlier n-1 onto it
+        value = t.eval(args[-n:])
+        for k in range(times - 1):
+            start = len(args) - n - (k + 1) * (n - 1)
+            value = t.eval(args[start : start + n - 1] + (value,))
+        assert out.eval(args) == value
+
+
 def test_extend_budget():
     base = table_from_function(2, 3, lambda x, y: min(x, y))
     with pytest.raises(ResourceError):
@@ -260,6 +285,19 @@ def test_neutral_elements():
     assert neutral_elements(base) == frozenset({2})
     both = table_from_function(2, 2, lambda x, y: x ^ y)
     assert neutral_elements(both) == frozenset({0})
+
+
+@given(any_tables(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_relabel_matches_cell_loop(t, rng):
+    perm = list(range(t.size))
+    rng.shuffle(perm)
+    assert relabel(t, perm).values == relabel_cells(t, perm).values
+
+
+def test_relabel_rejects_a_non_permutation(f1):
+    with pytest.raises(InputError, match="not a permutation"):
+        relabel(f1, (0, 1, 1, 3))
 
 
 def test_relabel_round_trip(f1):
@@ -280,7 +318,7 @@ def test_relabel_conjugates(f1):
 def test_canonical_form_is_invariant(f2):
     canon = canonical_form(f2).values
     for perm in itertools.permutations(range(4)):
-        assert canonical_form(relabel(f2, perm)).values == canon
+        assert canonical_form(relabel_cells(f2, perm)).values == canon
 
 
 def test_canonical_form_is_minimum():
@@ -322,11 +360,16 @@ def test_canonical_form_matches_relabelings_on_non_symmetric():
 
 
 def test_canonical_form_chunks_agree(monkeypatch, f2):
-    # one permutation per chunk: the minimum is carried across chunks
+    # one permutation per chunk: the minimum is carried across chunks, on
+    # the argument multisets of a symmetric table and on every argument
+    # tuple of a non-symmetric one
+    non_symmetric = table_from_function(3, 4, lambda x, y, z: min(x, y) if z < 2 else z)
+    assert check_symmetric(non_symmetric) is not None
     monkeypatch.setattr(optable_module, "_RELABEL_CHUNK_CELLS", 1)
-    expected = least_relabeling(f2)
-    for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
-        assert canonical_form(relabel(f2, perm)).values == expected
+    for t in (f2, non_symmetric):
+        expected = least_relabeling(t)
+        for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
+            assert canonical_form(relabel_cells(t, perm)).values == expected
 
 
 def test_canonical_forms_match_canonical_form(monkeypatch):
