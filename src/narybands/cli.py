@@ -24,7 +24,7 @@ from .optable import (
     AssociativityWitness,
     OpTable,
     SymmetryWitness,
-    canonical_form,
+    _canonical_forms,
     check_associative,
     check_idempotent,
     check_symmetric,
@@ -288,7 +288,9 @@ def cmd_isomorphic(args) -> int:
     if ta.size != tb.size or ta.arity != tb.arity:
         print("not isomorphic")
         return 1
-    if canonical_form(ta).values == canonical_form(tb).values:
+    # one scan when the tables are isomorphic: tb is among ta's relabelings
+    form_a, form_b = _canonical_forms([ta, tb])
+    if form_a == form_b:
         print("isomorphic")
         return 0
     print("not isomorphic")

@@ -9,7 +9,7 @@ composing systems and by backtracking over symmetric idempotent tables.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -138,26 +138,32 @@ def _cached_nary_homs(g1: OpTable, g2: OpTable, arity: int) -> tuple[tuple[int, 
 
 @dataclass(frozen=True)
 class BandCatalog:
-    """Enumeration result: entries plus labeled and iso-class counts.
+    """Enumeration result: orbit rows plus labeled and iso-class counts.
 
-    entries hold every labeled table (sorted by canonical values, then own
-    values) or one canonical representative per iso class, depending on
-    how the catalog was requested; both counts are always present.
+    rows hold the uint8 orbit vectors (values on the argument multisets)
+    of every labeled table (sorted by canonical values, then own values)
+    or of one canonical representative per iso class, depending on how
+    the catalog was requested; both counts are always present.  entries
+    builds the tables the first time it is read.
     """
 
     size: int
     arity: int
-    entries: tuple[OpTable, ...]
+    rows: tuple[bytes, ...]
     labeled: int
     iso: int
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for t in self.entries:
-            if t.size != self.size or t.arity != self.arity:
-                raise InputError("catalog entry has mismatched size or arity")
+        object.__setattr__(self, "rows", tuple(map(bytes, self.rows)))
+        width = math.comb(self.size + self.arity - 1, self.arity)
+        if any(len(r) != width or max(r) >= self.size for r in self.rows):
+            raise InputError("catalog row does not fit the size and arity")
         if self.labeled < self.iso or self.iso < 0:
             raise InputError("catalog counts are inconsistent")
+
+    @cached_property
+    def entries(self) -> tuple[OpTable, ...]:
+        return tuple(symmetric_table(self.arity, self.size, list(r)) for r in self.rows)
 
 
 def _catalog(m: int, n: int, orbits: "np.ndarray", up_to_iso: bool) -> BandCatalog:
@@ -168,8 +174,7 @@ def _catalog(m: int, n: int, orbits: "np.ndarray", up_to_iso: bool) -> BandCatal
         rows = sorted(set(canon))
     else:
         rows = [own for _, own in sorted(zip(canon, map(bytes, orbits)))]
-    entries = (symmetric_table(n, m, np.frombuffer(row, dtype=np.uint8)) for row in rows)
-    return BandCatalog(m, n, entries, len(orbits), len(set(canon)))
+    return BandCatalog(m, n, rows, len(orbits), len(set(canon)))
 
 
 def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDGET) -> BandCatalog:
@@ -316,8 +321,9 @@ def _hom_steps(meet: "np.ndarray") -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _semilattices(k: int) -> tuple[tuple["np.ndarray", tuple], ...]:
-    """_semilattice_tables(k) as (k x k meet array, _hom_steps plan).
+def _semilattices(k: int) -> tuple["np.ndarray", ...]:
+    """_semilattice_tables(k) as k x k meet arrays; _plans(k) plans them
+    apart, for the partitions that read a plan.
 
     The semilattice laws are checked (QuotientSemilattice) on the first
     table of each isomorphism class only: the others are relabelings of
@@ -326,14 +332,19 @@ def _semilattices(k: int) -> tuple[tuple["np.ndarray", tuple], ...]:
     """
     tables = _semilattice_tables(k)
     checked = set()
-    out = []
     for t, form in zip(tables, _canonical_forms(tables)):
         if form not in checked:
             QuotientSemilattice(t)
             checked.add(form)
-        meet = np.asarray(t.values, dtype=np.intp).reshape(k, k)
-        out.append((meet, _hom_steps(meet)))
-    return tuple(out)
+    return tuple(np.asarray(t.values, dtype=np.intp).reshape(k, k) for t in tables)
+
+
+@lru_cache(maxsize=None)
+def _plans(k: int) -> tuple[tuple, ...]:
+    """The _hom_steps plan of each of _semilattices(k), in order.  Only a
+    partition with a class of more than one element reads one: maps into
+    one-element classes are forced (_hom_systems)."""
+    return tuple(_hom_steps(meet) for meet in _semilattices(k))
 
 
 def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
@@ -350,9 +361,10 @@ def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
 
 @lru_cache(maxsize=None)
 def _class_structures(size: int, arity: int):
-    """Distinct arity-ary group extensions on a class of the given size.
+    """Distinct arity-ary group extensions on a class of the given size,
+    each as one binary group table producing it, ordered by the
+    extension's orbit vector.
 
-    Each entry is (extension table, one binary group table producing it).
     Relabeling commutes with extension, so each group type's extension is
     relabeled once through the scan of _relabeled_orbits; each distinct
     extension keeps the group relabeled by the first permutation, in
@@ -370,10 +382,7 @@ def _class_structures(size: int, arity: int):
             for p in first:
                 found.setdefault(rows[p].tobytes(), relabel(base, perms[lo + p]))
             lo += len(rows)
-    return tuple(
-        (symmetric_table(arity, size, np.frombuffer(v, dtype=np.uint8)), g)
-        for v, g in sorted(found.items())
-    )
+    return tuple(g for _, g in sorted(found.items()))
 
 
 def _set_partitions(m: int):
@@ -401,8 +410,12 @@ def _hom_systems(steps, bases, arity: int):
     are chosen freely on covering pairs and derived along longer chains,
     pruning when two derivations of the same pair disagree.  Checking only
     factorizations through covers is enough: coherence for longer chains
-    follows by induction down the processing order.
+    follows by induction down the processing order.  A map into a
+    one-element class is forced (all zeros) and coherent, so those steps
+    are skipped, their maps left out of phi and read as zeros.
     """
+    steps = [step for step in steps if bases[step[0]].size > 1]
+    zeros = [(0,) * base.size for base in bases]
     phi: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def rec(idx):
@@ -416,7 +429,9 @@ def _hom_systems(steps, bases, arity: int):
             derived = []
             for g, vias in routes:
                 maps = {
-                    assigned[a] if a == g else tuple(assigned[a][p] for p in phi[(g, a)])
+                    assigned[a]
+                    if a == g
+                    else tuple(assigned[a][p] for p in phi.get((g, a), zeros[g]))
                     for a in vias
                 }
                 if len(maps) > 1:
@@ -521,15 +536,17 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
             continue
         k = len(classes)
         class_of = [0] * m
-        own = [0] * (m * k)  # own[x * k + c]: position of x in its class c
+        own = [0] * (m * k)  # own[x * k + c]: position of x in its class c, else 0
         for c, members in enumerate(classes):
             for i, x in enumerate(members):
                 class_of[x] = c
                 own[x * k + c] = i
         systems = []  # (meet, cayley, image) per system, as _compose_orbits takes them
-        for meet, plan in _semilattices(k):
-            for assign in itertools.product(*options):
-                bases = [entry[1] for entry in assign]
+        meets = _semilattices(k)
+        # singleton classes only: every map is forced, no plan is read
+        plans = _plans(k) if k < m else [()] * len(meets)
+        for meet, plan in zip(meets, plans):
+            for bases in itertools.product(*options):
                 cayley = [v for base in bases for v in base.values]
                 for phi in _hom_systems(plan, bases, n):
                     image = own.copy()

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from narybands import table_from_json
+from narybands import relabel, table_from_json, table_to_json
 from narybands.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -212,6 +213,27 @@ def test_isomorphic_relabeled(capsys, tmp_path):
     other.write_text(json.dumps({"arity": 3, "elements": ["a", "b", "c", "d"], "values": relabeled}))
     code, out, _ = run(capsys, "isomorphic", F2_PATH, str(other))
     assert code == 0
+
+
+def test_isomorphic_scans_once_for_an_isomorphic_pair(capsys, monkeypatch, tmp_path):
+    optable = importlib.import_module("narybands.optable")
+    relabeled_orbits = optable._relabeled_orbits
+    scans = []
+
+    def counting(row, size, arity):
+        scans.append(size)
+        return relabeled_orbits(row, size, arity)
+
+    monkeypatch.setattr(optable, "_relabeled_orbits", counting)
+    # F2 with the roles of its first two elements swapped
+    t, _ = table_from_json(Path(F2_PATH).read_text())
+    other = tmp_path / "swapped.json"
+    other.write_text(table_to_json(relabel(t, (1, 0, 2, 3))))
+    assert run(capsys, "isomorphic", F2_PATH, str(other))[:2] == (0, "isomorphic\n")
+    assert len(scans) == 1
+    # two symmetric bands in different classes: each is scanned
+    assert run(capsys, "isomorphic", F1_PATH, F2_PATH)[:2] == (1, "not isomorphic\n")
+    assert len(scans) == 3
 
 
 def test_isomorphic_non_symmetric(capsys, tmp_path):

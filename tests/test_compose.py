@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from narybands import (
+    BandCatalog,
     ConsistencyError,
     DomainError,
     GroupSpec,
@@ -39,6 +41,8 @@ optable_module = importlib.import_module("narybands.optable")
 
 LABELED_N3 = {1: 1, 2: 3, 3: 18, 4: 197, 5: 3225}
 ISO_N3 = {1: 1, 2: 2, 3: 4, 4: 14, 5: 45}
+# SHA-256 of the values of the (5, 3) catalog's 3,225 tables, in catalog order
+CATALOG_5_3_SHA256 = "38dac89efd58f92717e9de1d88705cf54e34f500533277439720636ba42ea795"
 
 
 def test_make_group_cyclic():
@@ -65,19 +69,16 @@ def class_structures_reference(size, arity):
 @pytest.mark.parametrize("size, arity", [(2, 3), (3, 3), (4, 3), (2, 5), (4, 5), (3, 4), (5, 6)])
 def test_class_structures_match_reference(size, arity):
     got = compose_module._class_structures(size, arity)
-    assert [(t.values, g.values) for t, g in got] == class_structures_reference(size, arity)
-    assert all(t.arity == arity and t.size == size for t, _ in got)
+    assert all(g.arity == 2 and g.size == size for g in got)
+    extended = [(extend(g, arity - 1).values, g.values) for g in got]
+    assert extended == class_structures_reference(size, arity)
 
 
 def test_class_structures_of_size_6_at_arity_7():
     # Z6 has 6 translations and 2 automorphisms: 720 / (6 * 2) labelings
-    try:
-        got = compose_module._class_structures(6, 7)
-        assert len(got) == 60
-        assert len({g.values for _, g in got}) == 60
-    finally:
-        # 60 tables of 6**7 cells: do not hold them for the session
-        compose_module._class_structures.cache_clear()
+    got = compose_module._class_structures(6, 7)
+    assert len(got) == 60
+    assert len({g.values for g in got}) == 60
 
 
 def test_make_group_digit_order():
@@ -354,6 +355,115 @@ def test_enumerate_relabels_once_per_class(monkeypatch):
     catalog = enumerate_bands(4, 3)
     assert (catalog.labeled, catalog.iso) == (197, 14)
     assert len(scans) == 14
+
+
+def test_enumerate_counts_build_no_table(monkeypatch):
+    # the meet tables' canonical forms build tables of their own
+    for k in range(1, 6):
+        compose_module._semilattices(k)
+    build = optable_module.symmetric_table
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(compose_module, "symmetric_table", counting)
+    monkeypatch.setattr(optable_module, "symmetric_table", counting)
+    catalog = enumerate_bands(5, 3)
+    assert (catalog.labeled, catalog.iso, len(built)) == (3225, 45, 0)
+    entries = catalog.entries
+    assert len(built) == 3225 and catalog.entries is entries
+    assert all(t.size == 5 and t.arity == 3 for t in entries)
+    digest = hashlib.sha256(bytes(v for t in entries for v in t.values)).hexdigest()
+    assert digest == CATALOG_5_3_SHA256
+
+
+def test_band_catalog_checks_rows():
+    ternary_min = table_from_function(3, 2, lambda *a: min(a))
+    assert BandCatalog(2, 3, [bytes([0, 0, 0, 1])], 1, 1).entries == (ternary_min,)
+    for row in ([0, 0, 1], [0, 0, 2, 1]):
+        with pytest.raises(InputError, match="does not fit"):
+            BandCatalog(2, 3, [bytes(row)], 1, 1)
+    with pytest.raises(InputError, match="counts"):
+        BandCatalog(2, 3, [bytes([0, 0, 0, 1])], 1, 2)
+
+
+def test_cold_enumerate_plans_partitions_with_a_larger_class(monkeypatch):
+    hom_steps = compose_module._hom_steps
+    planned = []
+
+    def counting(meet):
+        planned.append(len(meet))
+        return hom_steps(meet)
+
+    monkeypatch.setattr(compose_module, "_hom_steps", counting)
+    compose_module._plans.cache_clear()
+    assert enumerate_bands(5, 3).labeled == 3225
+    # the 2 + 9 + 76 meet tables on 2 to 4 classes: a ternary group of
+    # order 5 does not exist, and 5 singleton classes leave no map to choose
+    assert [planned.count(k) for k in range(1, 6)] == [0, 2, 9, 76, 0]
+
+
+def hom_systems_reference(steps, bases, arity):
+    """_hom_systems searching every step, maps into one-element classes
+    included."""
+    phi = {}
+
+    def rec(idx):
+        if idx == len(steps):
+            yield dict(phi)
+            return
+        c, covers, routes = steps[idx]
+        choice_lists = [compose_module._cached_nary_homs(bases[a], bases[c], arity) for a in covers]
+        for combo in itertools.product(*choice_lists):
+            assigned = dict(zip(covers, combo))
+            derived = []
+            for g, vias in routes:
+                maps = {
+                    assigned[a] if a == g else tuple(assigned[a][p] for p in phi[(g, a)])
+                    for a in vias
+                }
+                if len(maps) > 1:
+                    break
+                derived.append(((g, c), maps.pop()))
+            else:
+                phi.update(derived)
+                yield from rec(idx + 1)
+                for pair, _ in derived:
+                    del phi[pair]
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_hom_systems_match_the_full_search(n):
+    # every set partition of up to 5 elements into at most 4 classes that
+    # enumeration builds on, every meet table and class group assignment
+    planned = set()
+    for m in range(1, 6):
+        for classes in compose_module._set_partitions(m):
+            k = len(classes)
+            options = [compose_module._class_structures(len(c), n) for c in classes]
+            if k > 4 or not all(options):
+                continue
+            for meet in compose_module._semilattices(k):
+                plan = compose_module._hom_steps(meet)
+                planned.add(meet.tobytes())
+                # the forced maps: from each class g into a one-element class below it
+                forced = {
+                    (g, c): (0,) * len(classes[g])
+                    for g in range(k)
+                    for c in range(k)
+                    if c != g and meet[g, c] == c and len(classes[c]) == 1
+                }
+                for bases in itertools.product(*options):
+                    got = [{**forced, **phi} for phi in compose_module._hom_systems(plan, bases, n)]
+                    want = list(hom_systems_reference(plan, bases, n))
+                    assert sorted(sorted(p.items()) for p in got) == sorted(
+                        sorted(p.items()) for p in want
+                    )
+    assert len(planned) == 1 + 2 + 9 + 76
 
 
 def test_enumerate_rejects_equal_composed_systems(monkeypatch):
