@@ -17,15 +17,9 @@ from .errors import ConsistencyError, DomainError, InputError, ResourceError
 from .bandcore import QuotientSemilattice
 from .optable import (
     OpTable,
-    _byte_strings,
     _canonical_forms,
     _canonical_orbits,
     _multiset_args,
-    _orbit_values,
-    _permutations,
-    _relabeled_orbits,
-    extend,
-    relabel,
     symmetric_table,
 )
 from .structure import StrongSystem, validate_system
@@ -154,9 +148,11 @@ class BandCatalog:
     iso: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(map(bytes, self.rows)))
+        rows = tuple(map(bytes, self.rows))
+        object.__setattr__(self, "rows", rows)
         width = math.comb(self.size + self.arity - 1, self.arity)
-        if any(len(r) != width or max(r) >= self.size for r in self.rows):
+        values = np.frombuffer(b"".join(rows), dtype=np.uint8)
+        if {len(r) for r in rows} - {width} or (len(values) and values.max() >= self.size):
             raise InputError("catalog row does not fit the size and arity")
         if self.labeled < self.iso or self.iso < 0:
             raise InputError("catalog counts are inconsistent")
@@ -166,15 +162,25 @@ class BandCatalog:
         return tuple(symmetric_table(self.arity, self.size, list(r)) for r in self.rows)
 
 
-def _catalog(m: int, n: int, orbits: "np.ndarray", up_to_iso: bool) -> BandCatalog:
+def _catalog(m: int, n: int, classes: dict[bytes, set[bytes]], up_to_iso: bool) -> BandCatalog:
+    """The catalog of whole isomorphism classes of symmetric tables, each
+    keyed by its least orbit vector and holding all of its own
+    (_canonical_orbits with every): classes in key order, the tables of
+    each in order of their own bytes, which order like the tables."""
+    forms = sorted(classes)
+    labeled = sum(map(len, classes.values()))
+    rows = forms if up_to_iso else [r for form in forms for r in sorted(classes[form])]
+    return BandCatalog(m, n, rows, labeled, len(forms))
+
+
+def _closed_catalog(m: int, n: int, orbits: "np.ndarray") -> BandCatalog:
     """The catalog of the symmetric tables with the orbit vectors orbits
-    (uint8 rows), sorted as bytes: these order like the tables."""
-    canon = _canonical_orbits(orbits, m, n)
-    if up_to_iso:
-        rows = sorted(set(canon))
-    else:
-        rows = [own for _, own in sorted(zip(canon, map(bytes, orbits)))]
-    return BandCatalog(m, n, rows, len(orbits), len(set(canon)))
+    (uint8 rows), which must be closed under relabeling: ConsistencyError
+    if one of them relabels to a table not among them."""
+    classes = _canonical_orbits(orbits, m, n, every=True)
+    if set().union(*classes.values()) != set(map(bytes, orbits)):
+        raise ConsistencyError("the tables found are not closed under relabeling")
+    return _catalog(m, n, classes, up_to_iso=False)
 
 
 def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDGET) -> BandCatalog:
@@ -253,49 +259,7 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
         holders[values[c]].pop()
         v = values[c] + 1
         values[c] = None
-    return _catalog(m, n, np.array(bands, dtype=np.uint8), up_to_iso=False)
-
-
-@lru_cache(maxsize=None)
-def _semilattice_tables(k: int) -> tuple[OpTable, ...]:
-    """Every meet table on k labeled elements, sorted by values.
-
-    Removing a maximal element from a finite meet semilattice leaves a
-    meet semilattice, so each table on k elements comes from one on k-1
-    by adding a new maximal element x under some label.  x may sit above
-    any nonempty down-set D such that, for every y, the members of D below
-    y have a greatest one; that one is meet(x, y).  Distinct growths of
-    one table are deduplicated by value tuple.
-    """
-    if k == 1:
-        return (OpTable(2, 1, (0,)),)
-    p = k - 1
-    found = set()
-    for base in _semilattice_tables(p):
-        meet = base.values
-        # below[y] is the down-set of y
-        below = [frozenset(z for z in range(p) if meet[z * p + y] == z) for y in range(p)]
-        for mask in range(1, 1 << p):
-            down = frozenset(z for z in range(p) if mask >> z & 1)
-            if any(not below[y] <= down for y in down):
-                continue
-            tops = []
-            for y in range(p):
-                common = down & below[y]
-                top = next((z for z in common if common <= below[z]), None)
-                if top is None:
-                    break
-                tops.append(top)
-            else:
-                for label in range(k):
-                    new = [i if i < label else i + 1 for i in range(p)]
-                    values = [label] * (k * k)
-                    for a in range(p):
-                        for b in range(p):
-                            values[new[a] * k + new[b]] = new[meet[a * p + b]]
-                        values[label * k + new[a]] = values[new[a] * k + label] = new[tops[a]]
-                    found.add(tuple(values))
-    return tuple(OpTable(2, k, v) for v in sorted(found))
+    return _closed_catalog(m, n, np.array(bands, dtype=np.uint8))
 
 
 def _hom_steps(meet: "np.ndarray") -> tuple:
@@ -320,87 +284,74 @@ def _hom_steps(meet: "np.ndarray") -> tuple:
     return tuple(steps)
 
 
+def _grown_meets(meet: "np.ndarray"):
+    """The meet arrays grown from a p x p meet array by a new maximal
+    element p.  It may sit above any nonempty down-set D such that, for
+    every y, the members of D below y have a greatest one; that one is the
+    meet of p and y."""
+    p = len(meet)
+    rows = meet.tolist()
+    below = [{z for z in range(p) if rows[z][y] == z} for y in range(p)]
+    for mask in range(1, 1 << p):
+        down = {z for z in range(p) if mask >> z & 1}
+        if any(not below[y] <= down for y in down):
+            continue
+        tops = []
+        for y in range(p):
+            common = down & below[y]
+            top = next((z for z in common if common <= below[z]), None)
+            if top is None:
+                break
+            tops.append(top)
+        else:
+            grown = np.full((p + 1, p + 1), p, dtype=np.intp)
+            grown[:p, :p] = meet
+            grown[p, :p] = grown[:p, p] = tops
+            yield grown
+
+
 @lru_cache(maxsize=None)
 def _semilattices(k: int) -> tuple["np.ndarray", ...]:
-    """_semilattice_tables(k) as k x k meet arrays; _plans(k) plans them
-    apart, for the partitions that read a plan.
+    """One k x k meet array per isomorphism class of meet semilattices on
+    k elements.
 
-    The semilattice laws are checked (QuotientSemilattice) on the first
-    table of each isomorphism class only: the others are relabelings of
-    it, and commutativity, idempotency and associativity survive
-    relabeling.
+    Removing a maximal element from a finite meet semilattice leaves one,
+    so each class on k elements grows from a class on k-1 by a new maximal
+    element (_grown_meets).  The growths are deduplicated by canonical
+    form, the first of each class is kept, and the semilattice laws are
+    checked (QuotientSemilattice) on the kept ones only.
     """
-    tables = _semilattice_tables(k)
-    checked = set()
-    for t, form in zip(tables, _canonical_forms(tables)):
-        if form not in checked:
+    if k == 1:
+        grown = [np.zeros((1, 1), dtype=np.intp)]
+    else:
+        grown = [g for meet in _semilattices(k - 1) for g in _grown_meets(meet)]
+    tables = [OpTable(2, k, tuple(g.ravel().tolist())) for g in grown]
+    kept = {}
+    for meet, t, form in zip(grown, tables, _canonical_forms(tables)):
+        if form not in kept:
             QuotientSemilattice(t)
-            checked.add(form)
-    return tuple(np.asarray(t.values, dtype=np.intp).reshape(k, k) for t in tables)
+            kept[form] = meet
+    return tuple(kept.values())
 
 
-@lru_cache(maxsize=None)
-def _plans(k: int) -> tuple[tuple, ...]:
-    """The _hom_steps plan of each of _semilattices(k), in order.  Only a
-    partition with a class of more than one element reads one: maps into
-    one-element classes are forced (_hom_systems)."""
-    return tuple(_hom_steps(meet) for meet in _semilattices(k))
-
-
-def _factor_multisets(order: int, exponent_cap: int, least: int = 2):
+def _factor_multisets(order: int, exponent_cap: int, least: int = 1):
+    """One factor list per Abelian group of this order whose exponent
+    divides exponent_cap: its invariant factors d1 | d2 | ... | dr, each
+    above 1 and a multiple of least."""
     if order == 1:
         yield ()
         return
-    f = least
-    while f <= order:
-        if order % f == 0 and exponent_cap % f == 0:
+    for f in range(least, order + 1, least):
+        if f > 1 and order % f == 0 and exponent_cap % f == 0:
             for rest in _factor_multisets(order // f, exponent_cap, f):
                 yield (f,) + rest
-        f += 1
 
 
-@lru_cache(maxsize=None)
-def _class_structures(size: int, arity: int):
-    """Distinct arity-ary group extensions on a class of the given size,
-    each as one binary group table producing it, ordered by the
-    extension's orbit vector.
-
-    Relabeling commutes with extension, so each group type's extension is
-    relabeled once through the scan of _relabeled_orbits; each distinct
-    extension keeps the group relabeled by the first permutation, in
-    itertools order, that gives it.  Extensions from different neutrals
-    coincide, so this dedupes them.
-    """
-    perms = _permutations(size)[0]
-    found: dict[bytes, OpTable] = {}
-    for factors in _factor_multisets(size, arity - 1):
-        base = make_group(GroupSpec(size, factors), arity)
-        orbit = _orbit_values(extend(base, arity - 1))
-        lo = 0
-        for rows in _relabeled_orbits(orbit, size, arity):
-            _, first = np.unique(_byte_strings(rows), return_index=True)
-            for p in first:
-                found.setdefault(rows[p].tobytes(), relabel(base, perms[lo + p]))
-            lo += len(rows)
-    return tuple(g for _, g in sorted(found.items()))
-
-
-def _set_partitions(m: int):
-    """All partitions of {0..m-1}, blocks sorted and ordered by least member."""
-
-    def rec(x, blocks):
-        if x == m:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(x)
-            yield from rec(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(x + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
+def _compositions(m: int):
+    """Every composition (s_0, ..., s_{k-1}) of m into positive parts."""
+    for k in range(1, m + 1):
+        for cuts in itertools.combinations(range(1, m), k - 1):
+            yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, m)))
 
 
 def _hom_systems(steps, bases, arity: int):
@@ -518,34 +469,46 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
 
 def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
     """Every symmetric n-ary band on m labeled elements, built by
-    composing systems: partition x semilattice x class groups x coherent
-    connecting maps.
+    composing one candidate or more per isomorphism class and relabeling.
 
-    The systems of each set partition are composed in one batch, and
-    distinctness of all the tables is asserted on their orbit vectors,
-    since a band determines its system up to per-class neutral choice.
+    A band's isomorphism class is fixed by its semilattice of classes up
+    to isomorphism, the class sizes on its nodes, one group type per class
+    and a coherent system of connecting maps.  So the candidates are: per
+    composition of m, classes as contiguous blocks; one meet array per
+    isomorphism class on that many nodes (_semilattices); one make_group
+    table per group type of each class; every coherent system of maps
+    (_hom_systems).  Every band relabels onto a candidate: its classes
+    onto the blocks in the order of a representative's nodes, its class
+    groups onto the make_group tables (the maps are translates of
+    homomorphisms, so the choice of neutral does not matter).
+
+    The candidates of each composition are composed in one batch and
+    asserted distinct on their orbit vectors, since a band determines its
+    system once its neutrals are fixed.  The labeled tables of a class are
+    the distinct relabelings of its first candidate (_canonical_orbits).
     """
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
     if m > ENUMERATE_SIZE_LIMIT:
         raise ResourceError(f"enumeration supports at most {ENUMERATE_SIZE_LIMIT} elements")
     blocks = []
-    for classes in _set_partitions(m):
-        options = [_class_structures(len(c), n) for c in classes]
-        if any(not o for o in options):
+    for sizes in _compositions(m):
+        options = [
+            [make_group(GroupSpec(s, f), n) for f in _factor_multisets(s, n - 1)] for s in sizes
+        ]
+        if not all(options):
             continue
-        k = len(classes)
-        class_of = [0] * m
+        k = len(sizes)
+        starts = [0, *itertools.accumulate(sizes)]
+        classes = [range(starts[c], starts[c + 1]) for c in range(k)]
+        class_of = [c for c, s in enumerate(sizes) for _ in range(s)]
         own = [0] * (m * k)  # own[x * k + c]: position of x in its class c, else 0
-        for c, members in enumerate(classes):
-            for i, x in enumerate(members):
-                class_of[x] = c
-                own[x * k + c] = i
+        for x, c in enumerate(class_of):
+            own[x * k + c] = x - starts[c]
         systems = []  # (meet, cayley, image) per system, as _compose_orbits takes them
-        meets = _semilattices(k)
-        # singleton classes only: every map is forced, no plan is read
-        plans = _plans(k) if k < m else [()] * len(meets)
-        for meet, plan in zip(meets, plans):
+        for meet in _semilattices(k):
+            # singleton classes only: every map is forced, nothing to plan
+            plan = _hom_steps(meet) if k < m else ()
             for bases in itertools.product(*options):
                 cayley = [v for base in bases for v in base.values]
                 for phi in _hom_systems(plan, bases, n):
@@ -558,4 +521,4 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
     orbits = np.concatenate(blocks)
     if len(set(map(bytes, orbits))) < len(orbits):
         raise ConsistencyError("two distinct systems composed equal")
-    return _catalog(m, n, orbits, up_to_iso)
+    return _catalog(m, n, _canonical_orbits(orbits, m, n, every=True), up_to_iso)

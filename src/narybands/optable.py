@@ -420,11 +420,11 @@ def _relabeled_orbits(row: "np.ndarray", size: int, arity: int):
         yield np.take_along_axis(perms, row[source], axis=1)
 
 
-def _byte_strings(rows: "np.ndarray") -> "np.ndarray":
-    # each uint8 row as one fixed-width byte string; these order like the
-    # rows, and numpy drops only trailing zero bytes, so rows of one width
-    # still have one string each
-    return np.ascontiguousarray(rows, dtype=np.uint8).view(f"S{rows.shape[1]}").ravel()
+def _byte_strings(rows: "np.ndarray") -> list[bytes]:
+    # each uint8 row as its bytes, which order like the rows; a void view
+    # keeps trailing zero bytes
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return rows.view(f"V{rows.shape[1]}").ravel().tolist()
 
 
 def canonical_form(t: OpTable) -> OpTable:
@@ -439,13 +439,16 @@ def canonical_form(t: OpTable) -> OpTable:
     return OpTable(t.arity, t.size, _canonical_forms([t])[0])
 
 
-def _canonical_orbits(rows: "np.ndarray", size: int, arity: int) -> list[bytes]:
-    """The least relabeling of each row of rows, as uint8 bytes, which
-    order like the tables.  Each row holds one table's values on the cells
-    of one index (_relabeled_orbits).
+def _canonical_orbits(
+    rows: "np.ndarray", size: int, arity: int, every: bool = False
+) -> dict[bytes, set[bytes]]:
+    """The isomorphism classes met among rows, each row one table's values
+    on the cells of one index (_relabeled_orbits).  Each class is keyed by
+    its least relabeling, as uint8 bytes, which order like the tables, and
+    holds its rows, or with every all of its distinct relabelings.
 
-    The first row of an isomorphism class is relabeled chunk by chunk,
-    keeping the least relabeling so far and the class's other rows found
+    The first row of a class is relabeled chunk by chunk, keeping the
+    least relabeling so far and the class's rows (or relabelings) found
     among the chunk, so one chunk at a time is held.
     """
     if size > CANONICAL_SIZE_LIMIT:
@@ -453,21 +456,21 @@ def _canonical_orbits(rows: "np.ndarray", size: int, arity: int) -> list[bytes]:
             f"canonical form scans {size}! relabelings (limit {CANONICAL_SIZE_LIMIT}!)"
         )
     rows = np.asarray(rows, dtype=np.uint8)
-    keys = _byte_strings(rows).tolist()
-    wanted = set(keys)
-    forms: dict[bytes, bytes] = {}
+    keys = _byte_strings(rows)
+    left = set(keys)
+    classes: dict[bytes, set[bytes]] = {}
     for row, key in zip(rows, keys):
-        if key in forms:
+        if key not in left:
             continue
         least = None
         members: set[bytes] = set()
         for relabeled in _relabeled_orbits(row, size, arity):
-            strings = _byte_strings(relabeled)
-            best = relabeled[strings.argmin()].tobytes()
-            least = best if least is None else min(least, best)
-            members.update(wanted.intersection(strings.tolist()))
-        forms.update(dict.fromkeys(members, least))
-    return [forms[key] for key in keys]
+            found = _byte_strings(relabeled)
+            least = min(found) if least is None else min(least, min(found))
+            members.update(found if every else left.intersection(found))
+        left -= members
+        classes[least] = members
+    return classes
 
 
 def _canonical_forms(tables: Sequence[OpTable]) -> list[tuple[int, ...]]:
@@ -482,13 +485,14 @@ def _canonical_forms(tables: Sequence[OpTable]) -> list[tuple[int, ...]]:
         groups.setdefault((t.size, t.arity, len(row)), {})[i] = row
     out: list = [None] * len(tables)
     for (m, n, cells), rows in groups.items():
-        canon = _canonical_orbits(np.array(list(rows.values())), m, n)
+        block = np.array(list(rows.values()), dtype=np.uint8)
         values = {}
-        for c in set(canon):
+        for c, members in _canonical_orbits(block, m, n).items():
             row = np.frombuffer(c, dtype=np.uint8)
-            values[c] = tuple(row.tolist()) if cells == m**n else symmetric_table(n, m, row).values
-        for i, c in zip(rows, canon):
-            out[i] = values[c]
+            form = tuple(row.tolist()) if cells == m**n else symmetric_table(n, m, row).values
+            values.update(dict.fromkeys(members, form))
+        for i, key in zip(rows, _byte_strings(block)):
+            out[i] = values[key]
     return out
 
 

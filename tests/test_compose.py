@@ -27,6 +27,7 @@ from narybands import (
     enumerate_bands,
     extend,
     group_homs,
+    invariant_factors,
     make_group,
     nary_homs,
     neutral_elements,
@@ -53,32 +54,68 @@ def test_make_group_cyclic():
     assert neutral_elements(g) == frozenset({0})
 
 
+def factor_multisets_reference(order, exponent_cap, least=2):
+    """Every multiset of cyclic factors above 1 that multiply to order and
+    divide exponent_cap, ascending: several per group type (Z6 as (2, 3)
+    and as (6,))."""
+    if order == 1:
+        yield ()
+        return
+    for f in range(least, order + 1):
+        if order % f == 0 and exponent_cap % f == 0:
+            for rest in factor_multisets_reference(order // f, exponent_cap, f):
+                yield (f,) + rest
+
+
 def class_structures_reference(size, arity):
-    """_class_structures by relabeling each group every way, cell by cell,
-    and extending each relabeling: the first relabeling giving an
-    extension is kept."""
-    found = {}
-    for factors in compose_module._factor_multisets(size, arity - 1):
+    """Every labeled arity-ary group extension on size elements: each
+    cyclic factorization's group relabeled every way, cell by cell, and
+    extended."""
+    found = set()
+    for factors in factor_multisets_reference(size, arity - 1):
         base = make_group(GroupSpec(size, factors), arity)
         for perm in itertools.permutations(range(size)):
-            g = relabel_cells(base, perm)
-            found.setdefault(extend(g, arity - 1).values, g)
-    return [(v, g.values) for v, g in sorted(found.items())]
+            found.add(extend(relabel_cells(base, perm), arity - 1).values)
+    return found
 
 
 @pytest.mark.parametrize("size, arity", [(2, 3), (3, 3), (4, 3), (2, 5), (4, 5), (3, 4), (5, 6)])
 def test_class_structures_match_reference(size, arity):
-    got = compose_module._class_structures(size, arity)
-    assert all(g.arity == 2 and g.size == size for g in got)
-    extended = [(extend(g, arity - 1).values, g.values) for g in got]
-    assert extended == class_structures_reference(size, arity)
+    # the one-class bands are the labeled group extensions, which
+    # enumeration reaches by relabeling one make_group table per type.  A
+    # band has one class iff each translation x -> t(x, a2, ..., an) is a
+    # permutation: otherwise arguments in its least class pull every x there
+    catalog = enumerate_bands(size, arity)
+    rows = np.frombuffer(b"".join(catalog.rows), dtype=np.uint8).reshape(len(catalog.rows), -1)
+    dense = rows[:, optable_module.multiset_index(size, arity).orbit_of]
+    columns = np.sort(dense.reshape(len(dense), size, -1), axis=1)
+    one_class = np.all(columns == np.arange(size)[:, None], axis=(1, 2))
+    assert {tuple(v) for v in dense[one_class].tolist()} == class_structures_reference(size, arity)
 
 
 def test_class_structures_of_size_6_at_arity_7():
-    # Z6 has 6 translations and 2 automorphisms: 720 / (6 * 2) labelings
-    got = compose_module._class_structures(6, 7)
-    assert len(got) == 60
-    assert len({g.values for g in got}) == 60
+    # Z6 is one group type, and its extension has 720 / (6 * 2) labelings:
+    # 6 translations and 2 automorphisms fix it
+    assert list(compose_module._factor_multisets(6, 6)) == [(6,)]
+    z6 = extend(make_group(GroupSpec(6, (6,)), 7), 6)
+    row = optable_module._orbit_values(z6)[None]
+    classes = optable_module._canonical_orbits(row, 6, 7, every=True)
+    assert [len(tables) for tables in classes.values()] == [60]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 13])
+def test_factor_multisets_give_one_list_per_group_type(n):
+    for order in range(1, 13):
+        got = list(compose_module._factor_multisets(order, n - 1))
+        types = [invariant_factors(make_group(GroupSpec(order, f), n)) for f in got]
+        # invariant factors, each dividing the next and n - 1
+        assert [tuple(f) for f in got] == types
+        assert len(set(types)) == len(types)
+        want = {
+            invariant_factors(make_group(GroupSpec(order, f), n))
+            for f in factor_multisets_reference(order, n - 1)
+        }
+        assert set(types) == want
 
 
 def test_make_group_digit_order():
@@ -249,13 +286,17 @@ def test_enumerate_binary_gives_semilattices():
     labeled = {1: 1, 2: 2, 3: 9, 4: 76, 5: 1065}
     iso = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15}
     for m in labeled:
-        grown = compose_module._semilattice_tables(m)
+        grown = {
+            relabel_cells(OpTable(2, m, tuple(meet.ravel().tolist())), p).values
+            for meet in compose_module._semilattices(m)
+            for p in itertools.permutations(range(m))
+        }
         catalog = enumerate_bands(m, 2)
         oracle = brute_force_bands(m, 2)
         assert len(grown) == catalog.labeled == oracle.labeled == labeled[m]
-        assert catalog.iso == oracle.iso == iso[m]
+        assert len(compose_module._semilattices(m)) == catalog.iso == oracle.iso == iso[m]
         expected = {t.values for t in oracle.entries}
-        assert {t.values for t in grown} == expected
+        assert grown == expected
         assert {t.values for t in catalog.entries} == expected
 
 
@@ -264,7 +305,7 @@ def test_enumerate_does_not_use_the_oracle(monkeypatch):
         raise AssertionError("enumeration called brute_force_bands")
 
     monkeypatch.setattr(compose_module, "brute_force_bands", refuse)
-    compose_module._semilattice_tables.cache_clear()
+    compose_module._semilattices.cache_clear()
     catalog = enumerate_bands(4, 3)
     assert (catalog.labeled, catalog.iso) == (197, 14)
 
@@ -293,7 +334,17 @@ def test_enumerate_validates_each_meet_class_once(monkeypatch):
             if v.size == k
             for p in itertools.permutations(range(k))
         }
-        assert {t.values for t in compose_module._semilattice_tables(k)} <= relabelings
+        assert {t.values for t in enumerate_bands(k, 2).entries} == relabelings
+
+
+def test_semilattice_class_counts():
+    # meet semilattices on k elements up to isomorphism are the lattices on
+    # k + 1 elements (add a top): OEIS A006966
+    counts = [len(compose_module._semilattices(k)) for k in range(1, 7)]
+    assert counts == [1, 1, 2, 5, 15, 53]
+    for k in range(1, 7):
+        for meet in compose_module._semilattices(k):
+            QuotientSemilattice(OpTable(2, k, tuple(meet.ravel().tolist())))
 
 
 def test_hom_steps_match_quotient_semilattice():
@@ -313,7 +364,8 @@ def test_hom_steps_match_quotient_semilattice():
                 steps.append((c, covers, routes))
         return tuple(steps)
 
-    tables = [t for k in range(1, 6) for t in compose_module._semilattice_tables(k)]
+    # every labeled meet table on up to 5 elements: the binary bands
+    tables = [t for k in range(1, 6) for t in enumerate_bands(k, 2).entries]
     assert len(tables) == 1153
     for t in tables:
         meet = np.asarray(t.values).reshape(t.size, t.size)
@@ -326,10 +378,14 @@ def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
     bad = OpTable(2, 3, (0, 1, 0, 1, 1, 2, 0, 2, 2))
     assert check_symmetric(bad) is None and check_idempotent(bad) is None
     assert check_associative(bad) is not None
-    tables = compose_module._semilattice_tables
-    monkeypatch.setattr(
-        compose_module, "_semilattice_tables", lambda k: tables(k) + ((bad,) if k == 3 else ())
-    )
+    grown_meets = compose_module._grown_meets
+
+    def growing(meet):
+        yield from grown_meets(meet)
+        if len(meet) == 2:
+            yield np.asarray(bad.values).reshape(3, 3)
+
+    monkeypatch.setattr(compose_module, "_grown_meets", growing)
     compose_module._semilattices.cache_clear()
     try:
         with pytest.raises(ConsistencyError, match="meet table is not associative"):
@@ -339,11 +395,9 @@ def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
 
 
 def test_enumerate_relabels_once_per_class(monkeypatch):
-    # warm the meet tables and class structures first, so only the band
-    # classes are counted
+    # warm the meet tables first, so only the band classes are counted
     for k in range(1, 5):
         compose_module._semilattices(k)
-        compose_module._class_structures(k, 3)
     scans = []
     relabeled_orbits = optable_module._relabeled_orbits
 
@@ -398,11 +452,13 @@ def test_cold_enumerate_plans_partitions_with_a_larger_class(monkeypatch):
         return hom_steps(meet)
 
     monkeypatch.setattr(compose_module, "_hom_steps", counting)
-    compose_module._plans.cache_clear()
     assert enumerate_bands(5, 3).labeled == 3225
-    # the 2 + 9 + 76 meet tables on 2 to 4 classes: a ternary group of
-    # order 5 does not exist, and 5 singleton classes leave no map to choose
-    assert [planned.count(k) for k in range(1, 6)] == [0, 2, 9, 76, 0]
+    # ternary class sizes are 1, 2 or 4: the compositions (1,4) and (4,1)
+    # on the 1 meet class of 2 nodes, the 3 arrangements of (1,2,2) on 2
+    # classes of 3 nodes and the 4 of (1,1,1,2) on 5 classes of 4 nodes; a
+    # group of order 5 or 3 does not exist, and 5 singleton classes leave
+    # no map to choose
+    assert [planned.count(k) for k in range(1, 6)] == [0, 2, 6, 20, 0]
 
 
 def hom_systems_reference(steps, bases, arity):
@@ -438,24 +494,30 @@ def hom_systems_reference(steps, bases, arity):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_hom_systems_match_the_full_search(n):
-    # every set partition of up to 5 elements into at most 4 classes that
-    # enumeration builds on, every meet table and class group assignment
+    # every composition of up to 5 elements into at most 4 classes that
+    # enumeration builds on, every labeled meet table (not only the one per
+    # isomorphism class that enumeration reads) and group type assignment
+    meets = {k: enumerate_bands(k, 2).entries for k in range(1, 5)}
     planned = set()
     for m in range(1, 6):
-        for classes in compose_module._set_partitions(m):
-            k = len(classes)
-            options = [compose_module._class_structures(len(c), n) for c in classes]
+        for sizes in compose_module._compositions(m):
+            k = len(sizes)
+            options = [
+                [make_group(GroupSpec(s, f), n) for f in compose_module._factor_multisets(s, n - 1)]
+                for s in sizes
+            ]
             if k > 4 or not all(options):
                 continue
-            for meet in compose_module._semilattices(k):
+            for t in meets[k]:
+                meet = np.asarray(t.values).reshape(k, k)
                 plan = compose_module._hom_steps(meet)
-                planned.add(meet.tobytes())
+                planned.add(t.values)
                 # the forced maps: from each class g into a one-element class below it
                 forced = {
-                    (g, c): (0,) * len(classes[g])
+                    (g, c): (0,) * sizes[g]
                     for g in range(k)
                     for c in range(k)
-                    if c != g and meet[g, c] == c and len(classes[c]) == 1
+                    if c != g and meet[g, c] == c and sizes[c] == 1
                 }
                 for bases in itertools.product(*options):
                     got = [{**forced, **phi} for phi in compose_module._hom_systems(plan, bases, n)]
@@ -477,6 +539,34 @@ def test_enumerate_rejects_equal_composed_systems(monkeypatch):
     monkeypatch.setattr(compose_module, "_hom_systems", twice)
     with pytest.raises(ConsistencyError, match="two distinct systems composed equal"):
         enumerate_bands(3, 3)
+
+
+def test_compositions():
+    assert sorted(compose_module._compositions(4)) == sorted(
+        c for k in range(1, 5) for c in itertools.product(range(1, 5), repeat=k) if sum(c) == 4
+    )
+    assert len(list(compose_module._compositions(5))) == 16
+
+
+def test_brute_force_rejects_rows_not_closed_under_relabeling(monkeypatch):
+    closed_catalog = compose_module._closed_catalog
+    catalog = brute_force_bands(3, 3)
+    rows = np.frombuffer(b"".join(catalog.rows), dtype=np.uint8).reshape(len(catalog.rows), -1)
+    assert closed_catalog(3, 3, rows).rows == catalog.rows
+    # the first table is not fixed by every relabeling, so dropping it
+    # leaves a relabeling of it that has no table left
+    first = catalog.entries[0]
+    assert relabel_cells(first, (1, 0, 2)).values != first.values
+    with pytest.raises(ConsistencyError, match="not closed under relabeling"):
+        closed_catalog(3, 3, rows[1:])
+
+    # the search's own rows, with the same table dropped
+    def dropping(m, n, orbits):
+        return closed_catalog(m, n, orbits[[r.tobytes() != catalog.rows[0] for r in orbits]])
+
+    monkeypatch.setattr(compose_module, "_closed_catalog", dropping)
+    with pytest.raises(ConsistencyError, match="not closed under relabeling"):
+        brute_force_bands(3, 3)
 
 
 @pytest.mark.parametrize("n, labeled", [(3, 197), (5, 200)])
