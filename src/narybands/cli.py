@@ -13,8 +13,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConsistencyError,
@@ -27,12 +25,11 @@ from .optable import (
     OpTable,
     SymmetryWitness,
     _canonical_forms,
+    _orbit_rows_to_json,
     check_associative,
     check_idempotent,
     check_symmetric,
-    default_labels,
     extend,
-    multiset_index,
     table_from_json,
     table_to_json,
 )
@@ -258,29 +255,10 @@ def cmd_extend(args) -> int:
     return 0
 
 
-def _catalog_json(catalog) -> str:
-    """table_to_json of every catalog table, one per line, written straight
-    from the orbit rows: each row is gathered onto the argument tuples and,
-    for one-digit values, laid into a template's digit slots as bytes."""
-    m, n = catalog.size, catalog.arity
-    head = json.dumps(
-        {"arity": n, "elements": list(default_labels(m)), "values": []}, separators=(", ", ": ")
-    )[: -len("]}")]
-    rows = np.frombuffer(b"".join(catalog.rows), dtype=np.uint8).reshape(len(catalog.rows), -1)
-    dense = rows[:, multiset_index(m, n).orbit_of]
-    if m > 10:
-        return "\n".join(f"{head}{', '.join(map(str, row))}]}}" for row in dense.tolist())
-    cells = dense.shape[1]
-    template = f"{head}{', '.join(['0'] * cells)}]}}\n".encode()
-    text = np.tile(np.frombuffer(template, dtype=np.uint8), (len(dense), 1))
-    text[:, len(head) : len(head) + 3 * cells : 3] += dense
-    return text.tobytes().decode()[:-1]
-
-
 def _emit_catalog(catalog, count_only: bool, out: str | None) -> int:
     lines = []
     if not count_only and catalog.rows:
-        lines.append(_catalog_json(catalog))
+        lines.append(_orbit_rows_to_json(catalog.rows, catalog.size, catalog.arity))
     lines.append(_dumps({"labeled": catalog.labeled, "iso": catalog.iso}))
     _emit("\n".join(lines), out)
     return 0

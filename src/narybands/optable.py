@@ -538,6 +538,25 @@ def table_to_json(t: OpTable, labels: Sequence[str] | None = None) -> str:
     return json.dumps(table_to_doc(t, labels), separators=(", ", ": "))
 
 
+def _orbit_rows_to_json(rows: Sequence[bytes], size: int, arity: int) -> str:
+    """table_to_json of the symmetric table of each orbit row (uint8 values
+    on the argument multisets), one per line, without building the tables:
+    each row is gathered onto the argument tuples and laid into the value
+    digits of table_to_json's line for the all-zero table.  Every value is
+    one digit, since callers hold size <= CANONICAL_SIZE_LIMIT < 10."""
+    assert size <= CANONICAL_SIZE_LIMIT < 10, "table values must be single digits"
+    index = multiset_index(size, arity)
+    cells = size**arity
+    zero = table_to_json(OpTable(arity, size, (0,) * cells))
+    template = np.frombuffer(f"{zero}\n".encode(), dtype=np.uint8)
+    # "values" is the document's last key, so its digits are the last zeros
+    slots = np.flatnonzero(template == ord("0"))[-cells:]
+    orbits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(index.multisets))
+    text = np.tile(template, (len(rows), 1))
+    text[:, slots] = orbits[:, index.orbit_of] + ord("0")
+    return text.tobytes().decode()[:-1]
+
+
 def table_from_json(text: str) -> tuple[OpTable, tuple[str, ...]]:
     try:
         doc = json.loads(text)

@@ -7,14 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from narybands import (
-    BandCatalog,
-    brute_force_bands,
-    enumerate_bands,
-    relabel,
-    table_from_json,
-    table_to_json,
-)
+from narybands import relabel, table_from_json, table_to_json
 from narybands.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -169,24 +162,6 @@ def test_enumerate_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "enumerate", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
-
-
-def test_catalog_json_matches_table_to_json():
-    # the catalog's lines come straight from its orbit rows, byte for byte
-    # what table_to_json gives; size 11 takes the multi-digit path
-    cli = importlib.import_module("narybands.cli")
-    pairs = itertools.combinations_with_replacement(range(11), 2)
-    binary_min_11 = BandCatalog(11, 2, [bytes(min(p) for p in pairs)], 1, 1)
-    for catalog in (
-        enumerate_bands(1, 4),
-        enumerate_bands(4, 3),
-        enumerate_bands(3, 2, up_to_iso=True),
-        enumerate_bands(4, 5),
-        brute_force_bands(2, 7),
-        binary_min_11,
-    ):
-        want = "\n".join(table_to_json(t) for t in catalog.entries)
-        assert cli._catalog_json(catalog) == want
 
 
 def test_enumerate_budget(capsys):

@@ -11,12 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from narybands import (
     AssociativityWitness,
+    BandCatalog,
     InputError,
     OpTable,
     ResourceError,
     SymmetryWitness,
     TupleCodec,
     band_violation,
+    brute_force_bands,
     canonical_form,
     check_associative,
     check_idempotent,
@@ -415,6 +417,23 @@ def test_json_round_trip_default_labels(min3):
     assert back.values == min3.values
     assert labels == ("0", "1", "2")
     assert json.loads(text)["arity"] == 3
+
+
+def test_orbit_rows_to_json_matches_table_to_json():
+    # catalog lines are written straight from orbit rows, byte for byte what
+    # table_to_json gives; the size-8 min table reaches the largest digit
+    pairs = itertools.combinations_with_replacement(range(8), 2)
+    for catalog in (
+        BandCatalog(8, 2, [bytes(min(p) for p in pairs)], 1, 1),
+        enumerate_bands(1, 4),
+        enumerate_bands(4, 3),
+        enumerate_bands(3, 2, up_to_iso=True),
+        enumerate_bands(4, 5),
+        brute_force_bands(2, 7),
+    ):
+        want = "\n".join(table_to_json(t) for t in catalog.entries)
+        got = optable_module._orbit_rows_to_json(catalog.rows, catalog.size, catalog.arity)
+        assert got == want
 
 
 def test_doc_rejects_malformed():
