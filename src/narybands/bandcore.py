@@ -9,6 +9,7 @@ is a meet semilattice and the whole decomposition theory hangs off it.
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError, InputError
 from .optable import (
@@ -110,24 +111,25 @@ class QuotientSemilattice:
     def leq(self, sub: int, sup: int) -> bool:
         return self.meet_of(sup, sub) == sub
 
+    @cached_property
+    def uppers(self) -> tuple[tuple[int, ...], ...]:
+        """The classes strictly above each class, ascending."""
+        k = self.size
+        return tuple(tuple(d for d in range(k) if d != c and self.leq(c, d)) for c in range(k))
+
     def comparable_pairs(self) -> list[tuple[int, int]]:
         """All (upper, lower) pairs with lower <= upper, including equal."""
-        k = self.size
-        return [(a, b) for a in range(k) for b in range(k) if self.leq(b, a)]
+        return sorted((a, b) for b, above in enumerate(self.uppers) for a in (b, *above))
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (upper, lower) with lower < upper and nothing in between."""
-        k = self.size
-        out = []
-        for a in range(k):
-            for b in range(k):
-                if a == b or not self.leq(b, a):
-                    continue
-                if not any(
-                    c != a and c != b and self.leq(b, c) and self.leq(c, a) for c in range(k)
-                ):
-                    out.append((a, b))
-        return out
+        uppers = self.uppers
+        return sorted(
+            (a, b)
+            for b, above in enumerate(uppers)
+            for a in above
+            if not any(a in uppers[c] for c in above)
+        )
 
 
 def associated_band(t: OpTable, verify: bool = True) -> OpTable:

@@ -24,11 +24,9 @@ from .optable import (
     AssociativityWitness,
     OpTable,
     SymmetryWitness,
+    _band_laws,
     _canonical_forms,
     _orbit_rows_to_json,
-    check_associative,
-    check_idempotent,
-    check_symmetric,
     extend,
     table_from_json,
     table_to_json,
@@ -69,10 +67,7 @@ class AnalysisReport:
 
 def analyze(t: OpTable) -> AnalysisReport:
     """Axioms first; the structural fields only when all three hold."""
-    sym = check_symmetric(t)
-    assoc = check_associative(t, use_symmetry=sym is None)
-    idem = check_idempotent(t)
-    report = AnalysisReport(t.size, t.arity, assoc, sym, idem)
+    report = AnalysisReport(t.size, t.arity, *(witness for _, witness in _band_laws(t)))
     if not report.is_band:
         return report
     report.classification = classify(t, verify=False).value

@@ -19,10 +19,9 @@ from .optable import (
     OpTable,
     _canonical_forms,
     _canonical_orbits,
-    _multiset_args,
     symmetric_table,
 )
-from .structure import StrongSystem, validate_system
+from .structure import StrongSystem, _compose_orbits, _compose_system, validate_system
 
 ENUMERATE_SIZE_LIMIT = 5
 BRUTE_CANDIDATE_BUDGET = 2**21
@@ -262,24 +261,17 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
     return _closed_catalog(m, n, np.array(bands, dtype=np.uint8))
 
 
-def _hom_steps(meet: "np.ndarray") -> tuple:
-    """_hom_systems' plan for a k x k meet array: the classes below some
+def _hom_steps(q: QuotientSemilattice) -> tuple:
+    """_hom_systems' plan for a meet semilattice: the classes below some
     other class, top-down, each as (c, covers, routes), where covers are
     the classes covering c and routes pair each class g above c with the
     covers of c at or below g."""
-    k = len(meet)
-    leq = meet == np.arange(k)[:, None]  # leq[c, d]: c <= d
-    less = leq & ~np.eye(k, dtype=bool)
-    lo = less.astype(np.intp)
-    # c < a is a cover when no class lies strictly between them
-    covered = less & (lo @ lo == 0)
-    leq, less, covered = np.stack([leq, less, covered]).tolist()
-    uppers = [[d for d in range(k) if less[c][d]] for c in range(k)]
+    cover_pairs = q.covers()
     steps = []
-    for c in sorted(range(k), key=lambda c: (len(uppers[c]), c)):
-        if uppers[c]:
-            covers = tuple(a for a in range(k) if covered[c][a])
-            routes = tuple((g, tuple(a for a in covers if leq[a][g])) for g in uppers[c])
+    for c in sorted(range(q.size), key=lambda c: (len(q.uppers[c]), c)):
+        if q.uppers[c]:
+            covers = tuple(a for a, b in cover_pairs if b == c)
+            routes = tuple((g, tuple(a for a in covers if q.leq(a, g))) for g in q.uppers[c])
             steps.append((c, covers, routes))
     return tuple(steps)
 
@@ -311,9 +303,8 @@ def _grown_meets(meet: "np.ndarray"):
 
 
 @lru_cache(maxsize=None)
-def _semilattices(k: int) -> tuple["np.ndarray", ...]:
-    """One k x k meet array per isomorphism class of meet semilattices on
-    k elements.
+def _semilattices(k: int) -> tuple[QuotientSemilattice, ...]:
+    """One meet semilattice on k elements per isomorphism class.
 
     Removing a maximal element from a finite meet semilattice leaves one,
     so each class on k elements grows from a class on k-1 by a new maximal
@@ -324,13 +315,16 @@ def _semilattices(k: int) -> tuple["np.ndarray", ...]:
     if k == 1:
         grown = [np.zeros((1, 1), dtype=np.intp)]
     else:
-        grown = [g for meet in _semilattices(k - 1) for g in _grown_meets(meet)]
+        grown = [
+            g
+            for q in _semilattices(k - 1)
+            for g in _grown_meets(np.reshape(q.meet.values, (k - 1, k - 1)))
+        ]
     tables = [OpTable(2, k, tuple(g.ravel().tolist())) for g in grown]
     kept = {}
-    for meet, t, form in zip(grown, tables, _canonical_forms(tables)):
+    for t, form in zip(tables, _canonical_forms(tables)):
         if form not in kept:
-            QuotientSemilattice(t)
-            kept[form] = meet
+            kept[form] = QuotientSemilattice(t)
     return tuple(kept.values())
 
 
@@ -397,47 +391,6 @@ def _hom_systems(steps, bases, arity: int):
     yield from rec(0)
 
 
-def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
-    """Values on the argument multisets of arity n of the bands composed
-    from systems on the same classes, one row per system.
-
-    class_of[x] is the class of element x; class c has the elements
-    members[c], in position order.  System s has the k x k meet table
-    meets[s], its class groups' flat tables of positions laid end to end
-    in cayleys[s], and the m x k matrix images[s] (flat or not): the
-    position in class c of the image of x, for every c at or below the
-    class of x.  Each multiset is sent into the meet of its classes and
-    its images are multiplied there: the meet is commutative and the
-    groups are Abelian, so one value per multiset fixes the table.
-    """
-    m, k = len(class_of), len(members)
-    args = _multiset_args(m, n)
-    arg_classes = np.asarray(class_of, dtype=np.intp)[args]
-    meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
-    cayley = np.asarray(cayleys, dtype=np.intp).reshape(len(meet), -1)
-    image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
-    row = np.arange(len(meet))[:, None]
-    alpha = arg_classes[:, 0]
-    for j in range(1, n):
-        alpha = meet[row, alpha, arg_classes[:, j]]
-    sizes = [len(c) for c in members]
-    # the classes' tables and members laid end to end, class c's starting
-    # at cayley_start[c] and member_start[c]
-    cayley_start = np.array([0, *itertools.accumulate(s * s for s in sizes[:-1])])
-    member_start = np.array([0, *itertools.accumulate(sizes[:-1])])
-    base = cayley_start[alpha]
-    order = np.array(sizes)[alpha]
-    # in place, so that a batch holds few (systems x multisets) arrays
-    acc = image[row, args[:, 0], alpha]
-    for j in range(1, n):
-        acc *= order
-        acc += base
-        acc += image[row, args[:, j], alpha]
-        acc = cayley[row, acc]
-    acc += member_start[alpha]
-    return np.array([x for c in members for x in c])[acc]
-
-
 def compose(system: StrongSystem, arity: int | None = None, verify: bool = True) -> OpTable:
     """Glue a strong system back into one operation table.
 
@@ -454,17 +407,7 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
         if report:
             summary = "; ".join(f"{v.code}: {v.message}" for v in report)
             raise DomainError(f"system fails validation: {summary}")
-    groups = system.groups
-    k = len(groups)
-    images = [0] * (system.size * k)
-    for (_, lower), hom in system.homs.items():
-        for x, image in hom.mapping:
-            images[x * k + lower] = groups[lower].position(image)
-    members = [g.members for g in groups]
-    cayley = [v for g in groups for v in g.cayley.values]
-    meet = system.quotient.meet.values
-    orbits = _compose_orbits(n, system.partition.class_of, members, [meet], [cayley], [images])
-    return symmetric_table(n, system.size, orbits[0])
+    return _compose_system(system, n, [v for g in system.groups for v in g.cayley.values])
 
 
 def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
@@ -474,8 +417,8 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
     A band's isomorphism class is fixed by its semilattice of classes up
     to isomorphism, the class sizes on its nodes, one group type per class
     and a coherent system of connecting maps.  So the candidates are: per
-    composition of m, classes as contiguous blocks; one meet array per
-    isomorphism class on that many nodes (_semilattices); one make_group
+    composition of m, classes as contiguous blocks; one meet semilattice
+    per isomorphism class on that many nodes (_semilattices); one make_group
     table per group type of each class; every coherent system of maps
     (_hom_systems).  Every band relabels onto a candidate: its classes
     onto the blocks in the order of a representative's nodes, its class
@@ -506,9 +449,9 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
         for x, c in enumerate(class_of):
             own[x * k + c] = x - starts[c]
         systems = []  # (meet, cayley, image) per system, as _compose_orbits takes them
-        for meet in _semilattices(k):
+        for q in _semilattices(k):
             # singleton classes only: every map is forced, nothing to plan
-            plan = _hom_steps(meet) if k < m else ()
+            plan = _hom_steps(q) if k < m else ()
             for bases in itertools.product(*options):
                 cayley = [v for base in bases for v in base.values]
                 for phi in _hom_systems(plan, bases, n):
@@ -516,7 +459,7 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
                     for (g, c), pmap in phi.items():
                         for x, p in zip(classes[g], pmap):
                             image[x * k + c] = p
-                    systems.append((meet, cayley, image))
+                    systems.append((q.meet.values, cayley, image))
         blocks.append(_compose_orbits(n, class_of, classes, *zip(*systems)).astype(np.uint8))
     orbits = np.concatenate(blocks)
     if len(set(map(bytes, orbits))) < len(orbits):

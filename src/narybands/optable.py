@@ -220,6 +220,16 @@ def _read_only(*arrays) -> None:
         a.flags.writeable = False
 
 
+def _digits(size: int, arity: int) -> "np.ndarray":
+    """digits[k, j]: argument k of the j-th argument tuple in flat order,
+    built one argument row at a time (np.indices would need arity + 1
+    axes, and numpy allows 64)."""
+    digits = np.empty((arity, size**arity), dtype=np.min_scalar_type(size))
+    for row, stride in zip(digits, _strides(size, arity)):
+        row.reshape(-1, size, stride)[...] = np.arange(size)[:, None]
+    return digits
+
+
 @lru_cache(maxsize=64)
 def multiset_index(size: int, arity: int) -> MultisetIndex:
     """The MultisetIndex of tables of this size and arity, built on first use."""
@@ -228,7 +238,7 @@ def multiset_index(size: int, arity: int) -> MultisetIndex:
     rep_codes = np.asarray(multisets, dtype=np.intp) @ strides
     rank = np.zeros(size**arity, dtype=np.intp)
     rank[rep_codes] = np.arange(len(multisets))
-    digits = np.indices((size,) * arity, dtype=np.min_scalar_type(size)).reshape(arity, -1)
+    digits = _digits(size, arity)
     digits.sort(axis=0)
     orbit_of = rank[strides @ digits]
     _read_only(orbit_of, rep_codes)
@@ -288,18 +298,17 @@ def check_idempotent(t: OpTable) -> int | None:
     return None
 
 
-def band_violation(t: OpTable):
-    """First failing band law as (name, witness), or None if t is a band."""
+def _band_laws(t: OpTable):
+    """The band laws in report order, each as (name, witness), the witness
+    None where the law holds: associative, symmetric, idempotent."""
     sym = check_symmetric(t)
     assoc = check_associative(t, use_symmetry=sym is None)
-    if assoc is not None:
-        return ("associative", assoc)
-    if sym is not None:
-        return ("symmetric", sym)
-    idem = check_idempotent(t)
-    if idem is not None:
-        return ("idempotent", idem)
-    return None
+    return (("associative", assoc), ("symmetric", sym), ("idempotent", check_idempotent(t)))
+
+
+def band_violation(t: OpTable):
+    """First failing band law as (name, witness), or None if t is a band."""
+    return next((law for law in _band_laws(t) if law[1] is not None), None)
 
 
 def require_band(t: OpTable) -> None:
@@ -377,7 +386,7 @@ def _relabel_source(inverse: "np.ndarray", size: int, arity: int, cells: int) ->
     argument multiset, or per argument tuple if there are size**arity."""
     dense = cells == size**arity
     if dense:
-        args = np.indices((size,) * arity, dtype=np.intp).reshape(arity, -1).T
+        args = _digits(size, arity).T
     else:
         args = _multiset_args(size, arity)
     inverse = np.asarray(inverse, dtype=np.intp)

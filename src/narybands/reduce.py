@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
-from .structure import StrongSystem, validate_system
+from .structure import StrongSystem, _compose_system, validate_system
 
 REDUCTION_CANDIDATE_BUDGET = 2**21
 
@@ -56,18 +56,13 @@ class Irreducible:
     reducible = False
 
 
-def _strict_uppers(system: StrongSystem) -> list[list[int]]:
-    k = system.quotient.size
-    return [
-        [d for d in range(k) if d != c and system.quotient.leq(c, d)] for c in range(k)
-    ]
-
-
 def build_reduction(
     system: StrongSystem, selection: NeutralSelection, arity: int | None = None
 ) -> OpTable:
     """Binary table G(x, y): meet the two classes, map both arguments down,
-    multiply in the class group re-based at the selected neutral.
+    multiply in the class group re-based at the selected neutral e, where
+    x . y = x * y * e^(n-2).  That is the system composed at arity 2
+    through the re-based class tables.
 
     The selection must be coherent (element of each class, preserved by
     every connecting map); violations raise InputError.
@@ -88,21 +83,14 @@ def build_reduction(
                 f"selection is not coherent: map ({a}, {b}) sends {chosen[a]} "
                 f"to {hom.apply(chosen[a])}, not {chosen[b]}"
             )
-    m = system.size
-    class_of = system.partition.class_of
-    values = []
-    for x in range(m):
-        cx = class_of[x]
-        for y in range(m):
-            gamma = system.quotient.meet_of(cx, class_of[y])
-            group = system.groups[gamma]
-            u = system.homs[(cx, gamma)].apply(x)
-            v = system.homs[(class_of[y], gamma)].apply(y)
-            r = group.op(u, v)
+    rebased = []
+    for g, e in zip(system.groups, chosen):
+        e_pos = g.position(e)
+        for r in g.cayley.values:
             for _ in range(n - 2):
-                r = group.op(r, chosen[gamma])
-            values.append(r)
-    return OpTable(2, m, tuple(values))
+                r = g.op_position(r, e_pos)
+            rebased.append(r)
+    return _compose_system(system, 2, rebased)
 
 
 def decide_reducible(
@@ -122,7 +110,7 @@ def decide_reducible(
             summary = "; ".join(f"{v.code}: {v.message}" for v in report)
             raise DomainError(f"system fails validation: {summary}")
     k = system.quotient.size
-    uppers = _strict_uppers(system)
+    uppers = system.quotient.uppers
     order = sorted(range(k), key=lambda c: (len(uppers[c]), c))
     selection: list[int | None] = [None] * k
     failures: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}

@@ -8,7 +8,10 @@ validates a system given independently, and serializes both ways.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConsistencyError, InputError, Violation
 from .bandcore import (
@@ -20,9 +23,11 @@ from .bandcore import (
 )
 from .optable import (
     OpTable,
+    _multiset_args,
     check_associative,
     check_symmetric,
     require_band,
+    symmetric_table,
 )
 
 
@@ -142,6 +147,30 @@ def invariant_factors(table: OpTable, neutral: int = 0) -> tuple[int, ...]:
     return _invariant_factors(table.values, k, neutral)
 
 
+def _failed_group_laws(cayley: OpTable, e_pos: int, n: int):
+    """The laws of an Abelian group with exponent dividing n-1 that the
+    binary table cayley, with neutral position e_pos, fails, each as
+    (code, message), in the order identity, commutativity, associativity,
+    inverses, exponent.  A generator, so the first failure costs no more
+    checks."""
+    k = cayley.size
+    cay = cayley.values
+    if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
+        yield "group-identity", "neutral does not act as identity"
+    sym = check_symmetric(cayley)
+    if sym is not None:
+        yield "group-commutative", "operation is not commutative"
+    if check_associative(cayley, use_symmetry=sym is None) is not None:
+        yield "group-associative", "operation is not associative"
+    if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
+        yield "group-inverse", "some element has no inverse"
+    powers = list(range(k))
+    for _ in range(n - 2):
+        powers = [cay[p * k + i] for i, p in enumerate(powers)]
+    if any(p != e_pos for p in powers):
+        yield "group-exponent", f"exponent does not divide {n - 1}"
+
+
 def class_group(t: OpTable, members, e: int | None = None, index: int = 0) -> ClassGroup:
     """Group structure on one sigma class: x * y = t(x, e, ..., e, y).
 
@@ -171,32 +200,13 @@ def class_group(t: OpTable, members, e: int | None = None, index: int = 0) -> Cl
                 raise ConsistencyError(f"class is not closed: ({x}, {y}) -> {v}")
             values.append(pos[v])
     cayley = OpTable(2, k, tuple(values))
-    e_pos = pos[e]
-    for i in range(k):
-        if cayley.values[e_pos * k + i] != i or cayley.values[i * k + e_pos] != i:
-            raise ConsistencyError(f"{e} is not neutral in its class")
-    if check_symmetric(cayley) is not None:
-        raise ConsistencyError("class operation is not commutative")
-    if check_associative(cayley, use_symmetry=True) is not None:
-        raise ConsistencyError("class operation is not associative")
-    for i in range(k):
-        if e_pos not in cayley.values[i * k : (i + 1) * k]:
-            raise ConsistencyError(f"member position {i} has no inverse")
-    group = ClassGroup(index, members, e, cayley, invariant_factors(cayley, e_pos))
-    if t.arity > 2:
-        for i in range(k):
-            if group.power_position(i, t.arity - 1) != e_pos:
-                raise ConsistencyError("class group exponent does not divide arity - 1")
-    else:
-        if k != 1:
-            raise ConsistencyError("binary bands admit only trivial class groups")
-    sig = group.factor_signature
-    prod = 1
-    for d in sig:
-        prod *= d
-    if prod != k or any((t.arity - 1) % d != 0 for d in sig):
+    failed = next(_failed_group_laws(cayley, pos[e], t.arity), None)
+    if failed is not None:
+        raise ConsistencyError(f"class {index}: {failed[1]}")
+    sig = invariant_factors(cayley, pos[e])
+    if math.prod(sig) != k or any((t.arity - 1) % d != 0 for d in sig):
         raise ConsistencyError(f"factor signature {sig} inconsistent with class of order {k}")
-    return group
+    return ClassGroup(index, members, e, cayley, sig)
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,62 @@ class StrongSystem:
         return len(self.partition.class_of)
 
 
+def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
+    """Values on the argument multisets of arity n of the bands composed
+    from systems on the same classes, one row per system.
+
+    class_of[x] is the class of element x; class c has the elements
+    members[c], in position order.  System s has the k x k meet table
+    meets[s], its class groups' flat tables of positions laid end to end
+    in cayleys[s], and the m x k matrix images[s] (flat or not): the
+    position in class c of the image of x, for every c at or below the
+    class of x.  Each multiset is sent into the meet of its classes and
+    its images are multiplied there: the meet is commutative and the
+    groups are Abelian, so one value per multiset fixes the table.
+    """
+    m, k = len(class_of), len(members)
+    args = _multiset_args(m, n)
+    arg_classes = np.asarray(class_of, dtype=np.intp)[args]
+    meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
+    cayley = np.asarray(cayleys, dtype=np.intp).reshape(len(meet), -1)
+    image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
+    row = np.arange(len(meet))[:, None]
+    alpha = arg_classes[:, 0]
+    for j in range(1, n):
+        alpha = meet[row, alpha, arg_classes[:, j]]
+    sizes = [len(c) for c in members]
+    # the classes' tables and members laid end to end, class c's starting
+    # at cayley_start[c] and member_start[c]
+    cayley_start = np.array([0, *itertools.accumulate(s * s for s in sizes[:-1])])
+    member_start = np.array([0, *itertools.accumulate(sizes[:-1])])
+    base = cayley_start[alpha]
+    order = np.array(sizes)[alpha]
+    # in place, so that a batch holds few (systems x multisets) arrays
+    acc = image[row, args[:, 0], alpha]
+    for j in range(1, n):
+        acc *= order
+        acc += base
+        acc += image[row, args[:, j], alpha]
+        acc = cayley[row, acc]
+    acc += member_start[alpha]
+    return np.array([x for c in members for x in c])[acc]
+
+
+def _compose_system(system: StrongSystem, n: int, cayleys) -> OpTable:
+    """The symmetric table of arity n composed from system (_compose_orbits)
+    through the class tables cayleys: flat tables of positions laid end to
+    end in class order, the class groups' own or re-based ones."""
+    k = system.quotient.size
+    images = [0] * (system.size * k)
+    for (_, lower), hom in system.homs.items():
+        for x, image in hom.mapping:
+            images[x * k + lower] = system.groups[lower].position(image)
+    members = [g.members for g in system.groups]
+    meet = system.quotient.meet.values
+    orbits = _compose_orbits(n, system.partition.class_of, members, [meet], [cayleys], [images])
+    return symmetric_table(n, system.size, orbits[0])
+
+
 def hom_maps(
     t: OpTable,
     partition: SigmaPartition | None = None,
@@ -294,25 +360,20 @@ def hom_maps(
     band = associated_band(t, verify=False)
     m = t.size
     out: dict[tuple[int, int], HomMap] = {}
-    for upper in range(partition.size):
-        for lower in range(partition.size):
-            if not semilattice.leq(lower, upper):
-                continue
-            candidates = []
-            for y in partition.classes[lower]:
-                candidates.append(
-                    tuple((x, band.values[y * m + x]) for x in partition.classes[upper])
-                )
-            if any(c != candidates[0] for c in candidates[1:]):
-                raise ConsistencyError(
-                    f"translation maps from class {lower} disagree on class {upper}"
-                )
-            for _, img in candidates[0]:
-                if partition.class_of[img] != lower:
-                    raise ConsistencyError(
-                        f"translation image {img} escapes class {lower}"
-                    )
-            out[(upper, lower)] = HomMap(upper, lower, candidates[0])
+    for upper, lower in semilattice.comparable_pairs():
+        candidates = []
+        for y in partition.classes[lower]:
+            candidates.append(
+                tuple((x, band.values[y * m + x]) for x in partition.classes[upper])
+            )
+        if any(c != candidates[0] for c in candidates[1:]):
+            raise ConsistencyError(
+                f"translation maps from class {lower} disagree on class {upper}"
+            )
+        for _, img in candidates[0]:
+            if partition.class_of[img] != lower:
+                raise ConsistencyError(f"translation image {img} escapes class {lower}")
+        out[(upper, lower)] = HomMap(upper, lower, candidates[0])
     return out
 
 
@@ -367,23 +428,8 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
     out: list[Violation] = []
     report = out.append
     for g in system.groups:
-        k = g.order
-        cay = g.cayley.values
-        e_pos = g.position(g.neutral)
-        label = f"class {g.class_index}"
-        if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
-            report(Violation("group-identity", f"{label}: neutral does not act as identity"))
-        sym = check_symmetric(g.cayley)
-        if sym is not None:
-            report(Violation("group-commutative", f"{label}: operation is not commutative"))
-        if check_associative(g.cayley, use_symmetry=sym is None) is not None:
-            report(Violation("group-associative", f"{label}: operation is not associative"))
-        if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
-            report(Violation("group-inverse", f"{label}: some element has no inverse"))
-        if any(g.power_position(i, n - 1) != e_pos for i in range(k)):
-            report(
-                Violation("group-exponent", f"{label}: exponent does not divide {n - 1}")
-            )
+        for code, message in _failed_group_laws(g.cayley, g.position(g.neutral), n):
+            report(Violation(code, f"class {g.class_index}: {message}"))
     for (a, b), hom in sorted(system.homs.items()):
         if a == b:
             if any(x != y for x, y in hom.mapping):

@@ -1,0 +1,91 @@
+"""Earlier implementations kept as references for the code that replaced
+them: each computes its result its own way, and the tests compare."""
+
+import numpy as np
+
+from narybands import OpTable
+
+
+def covers_reference(q):
+    """QuotientSemilattice.covers by the triple loop over leq: (upper,
+    lower) with lower < upper and no class strictly between."""
+    k = q.size
+    out = []
+    for a in range(k):
+        for b in range(k):
+            if a == b or not q.leq(b, a):
+                continue
+            if not any(c != a and c != b and q.leq(b, c) and q.leq(c, a) for c in range(k)):
+                out.append((a, b))
+    return out
+
+
+def hom_steps_reference(meet):
+    """compose._hom_steps planned on the k x k meet array: the order and
+    its covers from a boolean matrix product."""
+    meet = np.asarray(meet)
+    k = len(meet)
+    leq = meet == np.arange(k)[:, None]  # leq[c, d]: c <= d
+    less = leq & ~np.eye(k, dtype=bool)
+    lo = less.astype(np.intp)
+    # c < a is a cover when no class lies strictly between them
+    covered = less & (lo @ lo == 0)
+    leq, less, covered = np.stack([leq, less, covered]).tolist()
+    uppers = [[d for d in range(k) if less[c][d]] for c in range(k)]
+    steps = []
+    for c in sorted(range(k), key=lambda c: (len(uppers[c]), c)):
+        if uppers[c]:
+            covers = tuple(a for a in range(k) if covered[c][a])
+            routes = tuple((g, tuple(a for a in covers if leq[a][g])) for g in uppers[c])
+            steps.append((c, covers, routes))
+    return tuple(steps)
+
+
+def group_law_violations_reference(system, n):
+    """validate_system's group-law checks, one block per class group, as
+    (code, message) pairs."""
+    out = []
+    for g in system.groups:
+        k = g.order
+        cay = g.cayley.values
+        e_pos = g.position(g.neutral)
+        label = f"class {g.class_index}"
+        if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
+            out.append(("group-identity", f"{label}: neutral does not act as identity"))
+        commutative = all(cay[i * k + j] == cay[j * k + i] for i in range(k) for j in range(k))
+        if not commutative:
+            out.append(("group-commutative", f"{label}: operation is not commutative"))
+        if any(
+            cay[cay[i * k + j] * k + l] != cay[i * k + cay[j * k + l]]
+            for i in range(k)
+            for j in range(k)
+            for l in range(k)
+        ):
+            out.append(("group-associative", f"{label}: operation is not associative"))
+        if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
+            out.append(("group-inverse", f"{label}: some element has no inverse"))
+        if any(g.power_position(i, n - 1) != e_pos for i in range(k)):
+            out.append(("group-exponent", f"{label}: exponent does not divide {n - 1}"))
+    return out
+
+
+def build_reduction_reference(system, selection, n):
+    """build_reduction cell by cell, without its coherence checks: meet the
+    two classes, map both arguments down, multiply there and then n-2
+    times by the selected neutral."""
+    chosen = selection.by_class
+    m = system.size
+    class_of = system.partition.class_of
+    values = []
+    for x in range(m):
+        cx = class_of[x]
+        for y in range(m):
+            gamma = system.quotient.meet_of(cx, class_of[y])
+            group = system.groups[gamma]
+            u = system.homs[(cx, gamma)].apply(x)
+            v = system.homs[(class_of[y], gamma)].apply(y)
+            r = group.op(u, v)
+            for _ in range(n - 2):
+                r = group.op(r, chosen[gamma])
+            values.append(r)
+    return OpTable(2, m, tuple(values))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from narybands import relabel, table_from_json, table_to_json
+from narybands import __version__, relabel, table_from_json, table_to_json
 from narybands.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -164,6 +164,24 @@ def test_enumerate_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def test_check_one_element_arity_64(capsys, tmp_path):
+    # 64 argument axes plus one would pass numpy's 64-dimension limit
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"arity": 64, "elements": ["a"], "values": [0]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["table: 1 elements, arity 64", "associative: pass"]
+    assert out.splitlines()[-2:] == ["reducible: yes", "selection: [0]=a"]
+
+
+def test_enumerate_one_element_arity_64(capsys):
+    code, out, err = run(capsys, "enumerate", "--size", "1", "--arity", "64")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert json.loads(lines[0]) == {"arity": 64, "elements": ["0"], "values": [0]}
+    assert lines[1:] == ['{"labeled": 1, "iso": 1}']
+
+
 def test_enumerate_budget(capsys):
     code, _, err = run(capsys, "enumerate", "--size", "6", "--arity", "3")
     assert code == 2
@@ -270,7 +288,16 @@ def test_stdin_input(capsys, monkeypatch):
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
-    assert "narybands" in out
+    assert out == f"narybands {__version__}\n"
+
+
+def test_version_has_one_source():
+    # pyproject reads the version from narybands.__version__
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    doc = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "narybands.__version__"}
 
 
 def test_missing_file(capsys):

@@ -35,6 +35,7 @@ from narybands import (
 )
 
 from conftest import relabel_cells
+from references import covers_reference, hom_steps_reference
 
 # the package re-exports the function compose under the module's name
 compose_module = importlib.import_module("narybands.compose")
@@ -287,8 +288,8 @@ def test_enumerate_binary_gives_semilattices():
     iso = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15}
     for m in labeled:
         grown = {
-            relabel_cells(OpTable(2, m, tuple(meet.ravel().tolist())), p).values
-            for meet in compose_module._semilattices(m)
+            relabel_cells(q.meet, p).values
+            for q in compose_module._semilattices(m)
             for p in itertools.permutations(range(m))
         }
         catalog = enumerate_bands(m, 2)
@@ -343,33 +344,36 @@ def test_semilattice_class_counts():
     counts = [len(compose_module._semilattices(k)) for k in range(1, 7)]
     assert counts == [1, 1, 2, 5, 15, 53]
     for k in range(1, 7):
-        for meet in compose_module._semilattices(k):
-            QuotientSemilattice(OpTable(2, k, tuple(meet.ravel().tolist())))
+        for q in compose_module._semilattices(k):
+            assert QuotientSemilattice(q.meet) == q and q.size == k
 
 
 def test_hom_steps_match_quotient_semilattice():
-    # the plan read off the meet array against one read off the checked
-    # semilattice's leq and covers
-    def reference(q):
-        k = q.size
-        uppers = [[d for d in range(k) if d != c and q.leq(c, d)] for c in range(k)]
-        cover_pairs = q.covers()
-        steps = []
-        for c in sorted(range(k), key=lambda c: (len(uppers[c]), c)):
-            if uppers[c]:
-                covers = tuple(a for a, b in cover_pairs if b == c)
-                routes = tuple(
-                    (g, tuple(a for a in covers if a == g or q.leq(a, g))) for g in uppers[c]
-                )
-                steps.append((c, covers, routes))
-        return tuple(steps)
-
+    # the plan read off the semilattice's order against the one read off
+    # the meet array by a matrix product
     # every labeled meet table on up to 5 elements: the binary bands
     tables = [t for k in range(1, 6) for t in enumerate_bands(k, 2).entries]
     assert len(tables) == 1153
     for t in tables:
         meet = np.asarray(t.values).reshape(t.size, t.size)
-        assert compose_module._hom_steps(meet) == reference(QuotientSemilattice(t))
+        assert compose_module._hom_steps(QuotientSemilattice(t)) == hom_steps_reference(meet)
+
+
+def test_semilattice_order_matches_the_references():
+    # every meet semilattice class on up to 6 elements: 77 of them
+    classes = [q for k in range(1, 7) for q in compose_module._semilattices(k)]
+    assert len(classes) == 77
+    for q in classes:
+        k = q.size
+        assert q.uppers == tuple(
+            tuple(d for d in range(k) if d != c and q.meet_of(c, d) == c) for c in range(k)
+        )
+        assert q.comparable_pairs() == [
+            (a, b) for a in range(k) for b in range(k) if q.meet_of(a, b) == b
+        ]
+        assert q.covers() == covers_reference(q)
+        meet = np.asarray(q.meet.values).reshape(k, k)
+        assert compose_module._hom_steps(q) == hom_steps_reference(meet)
 
 
 def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
@@ -447,9 +451,9 @@ def test_cold_enumerate_plans_partitions_with_a_larger_class(monkeypatch):
     hom_steps = compose_module._hom_steps
     planned = []
 
-    def counting(meet):
-        planned.append(len(meet))
-        return hom_steps(meet)
+    def counting(q):
+        planned.append(q.size)
+        return hom_steps(q)
 
     monkeypatch.setattr(compose_module, "_hom_steps", counting)
     assert enumerate_bands(5, 3).labeled == 3225
@@ -510,7 +514,7 @@ def test_hom_systems_match_the_full_search(n):
                 continue
             for t in meets[k]:
                 meet = np.asarray(t.values).reshape(k, k)
-                plan = compose_module._hom_steps(meet)
+                plan = compose_module._hom_steps(QuotientSemilattice(t))
                 planned.add(t.values)
                 # the forced maps: from each class g into a one-element class below it
                 forced = {

@@ -236,6 +236,17 @@ def test_band_violation_order(maj2):
     assert label == "associative"
     const = table_from_function(3, 2, lambda *a: 0)
     assert band_violation(const)[0] == "idempotent"
+    # a table failing several laws reports the first in report order
+    flip = table_from_function(2, 2, lambda x, y: 1 - x)
+    assert [law for law, w in optable_module._band_laws(flip) if w is not None] == [
+        "associative",
+        "symmetric",
+        "idempotent",
+    ]
+    assert band_violation(flip) == ("associative", check_associative(flip))
+    left = table_from_function(2, 3, lambda x, y: (0, 0, 2)[x])
+    assert band_violation(left) == ("symmetric", check_symmetric(left))
+    assert check_idempotent(left) == 1
 
 
 def test_require_band(min3, maj2):

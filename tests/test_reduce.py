@@ -17,6 +17,7 @@ from narybands import (
     class_group,
     decide_reducible,
     decompose,
+    enumerate_bands,
     extend,
     invariant_factors,
     neutral_elements,
@@ -27,6 +28,8 @@ from narybands import (
     table_from_function,
     verify_reduction,
 )
+
+from references import build_reduction_reference
 
 F2_REDUCTION_ROWS = (0, 3, 2, 3, 3, 1, 2, 3, 2, 2, 3, 2, 3, 3, 2, 3)
 
@@ -213,3 +216,17 @@ def test_reduction_restricted_to_class_is_the_class_group(f2):
             )
             expected = class_group(f2, members).factor_signature
             assert invariant_factors(sub, neutral) == expected
+
+
+@pytest.mark.parametrize("n, reducible", [(3, 185), (5, 188)])
+def test_build_reduction_matches_the_cell_loop(n, reducible):
+    # every reducible band of the catalog (of 197 and 200), at the selection
+    # decide_reducible returns
+    found = 0
+    for t in enumerate_bands(4, n).entries:
+        system = decompose(t, verify=False)
+        out = decide_reducible(system, verify=False)
+        if isinstance(out, Reduction):
+            found += 1
+            assert out.table == build_reduction_reference(system, out.selection, n)
+    assert found == reducible

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from narybands import (
+    ClassGroup,
     ConsistencyError,
     HomMap,
     InputError,
+    OpTable,
+    QuotientSemilattice,
+    SigmaPartition,
+    StrongSystem,
     associated_band,
     class_group,
     compose,
@@ -25,6 +30,8 @@ from narybands import (
     table_from_function,
     validate_system,
 )
+
+from references import group_law_violations_reference
 
 
 def cyclic(k):
@@ -113,8 +120,23 @@ def test_class_group_rejects_non_class(f1):
 
 def test_class_group_binary_nontrivial_rejected():
     t = table_from_function(2, 2, lambda x, y: x ^ y)
-    with pytest.raises(ConsistencyError):
-        class_group(t, (0, 1), e=0)
+    with pytest.raises(ConsistencyError, match="^class 3: exponent does not divide 1$"):
+        class_group(t, (0, 1), e=0, index=3)
+
+
+def test_class_group_raises_the_first_failed_law():
+    # (0 1 2) as a ternary class: x * y = t(x, e, y), with e = 0 neutral;
+    # the group Z3 has exponent 3, which does not divide 2
+    z3 = table_from_function(3, 3, lambda x, y, z: (x - y + z) % 3)
+    with pytest.raises(ConsistencyError, match="^class 0: exponent does not divide 2$"):
+        class_group(z3, (0, 1, 2))
+    # at arity 4 it is a class group
+    z3_4 = table_from_function(4, 3, lambda *a: (a[0] - a[1] - a[2] + a[3]) % 3)
+    assert class_group(z3_4, (0, 1, 2)).factor_signature == (3,)
+    # x * y = y for every e: no element is neutral, and identity is checked first
+    right = table_from_function(3, 2, lambda x, y, z: z)
+    with pytest.raises(ConsistencyError, match="^class 0: neutral does not act as identity$"):
+        class_group(right, (0, 1))
 
 
 def test_hom_maps_golden(f1, f2):
@@ -338,3 +360,71 @@ def test_hom_map_apply_rejects_outside_source():
     assert hom.apply(1) == 5
     with pytest.raises(InputError):
         hom.apply(2)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (4, 5), (5, 2), (5, 3)])
+def test_group_laws_match_the_reference_on_catalogs(m, n):
+    # every class group of the catalog, checked at its own arity and at
+    # others, where the exponent law can fail
+    seen = set()
+    for t in enumerate_bands(m, n).entries:
+        system = decompose(t, verify=False)
+        for arity in (2, 3, 4, 5):
+            got = [
+                (v.code, v.message)
+                for v in validate_system(system, arity)
+                if v.code.startswith("group-")
+            ]
+            assert got == group_law_violations_reference(system, arity)
+            seen.update(code for code, _ in got)
+            if arity == n:
+                assert got == []
+    assert seen == (set() if n == 2 else {"group-exponent"})
+
+
+def one_class_system(rows, neutral, arity):
+    k = len(rows)
+    members = tuple(range(k))
+    cayley = OpTable(2, k, tuple(v for row in rows for v in row))
+    return StrongSystem(
+        arity,
+        SigmaPartition((0,) * k, (members,)),
+        QuotientSemilattice(OpTable(2, 1, (0,))),
+        (ClassGroup(0, members, neutral, cayley, ()),),
+        {(0, 0): HomMap(0, 0, {x: x for x in members})},
+    )
+
+
+@pytest.mark.parametrize(
+    "law, message, rows, neutral",
+    [
+        (
+            "identity",
+            "neutral does not act as identity",
+            [[(x + y) % 3 for y in range(3)] for x in range(3)],
+            1,
+        ),
+        (
+            "commutative",
+            "operation is not commutative",
+            [[_s3(x, y) for y in range(6)] for x in range(6)],
+            0,
+        ),
+        # 1 * 1 * 2 = 2 but 1 * (1 * 2) = 0
+        ("associative", "operation is not associative", [[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0),
+        ("inverse", "some element has no inverse", [[0, 1], [1, 1]], 0),
+        (
+            "exponent",
+            "exponent does not divide {}",
+            [[(x + y) % 3 for y in range(3)] for x in range(3)],
+            0,
+        ),
+    ],
+)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_group_laws_match_the_reference_on_broken_tables(law, message, rows, neutral, n):
+    # each table breaks its law at every arity, and maybe others with it
+    system = one_class_system(rows, neutral, n)
+    got = [(v.code, v.message) for v in validate_system(system) if v.code.startswith("group-")]
+    assert got == group_law_violations_reference(system, n)
+    assert (f"group-{law}", "class 0: " + message.format(n - 1)) in got
