@@ -15,14 +15,13 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, ResourceError
+from .errors import ConsistencyError, DomainError, InputError, ResourceError
 
 EXTEND_CELL_BUDGET = 2**28
 CANONICAL_SIZE_LIMIT = 8
-_VECTOR_SCAN_THRESHOLD = 10_000
-# relabelings are scanned in chunks of permutations, each chunk holding at
-# most this many (permutation, cell, argument) entries
-_RELABEL_CHUNK_CELLS = 2**20
+# chunked scans hold at most this many entries at a time: (permutation,
+# cell, argument) entries for relabelings, argument tuples for associativity
+_CHUNK_CELLS = 2**20
 
 
 @lru_cache(maxsize=None)
@@ -118,62 +117,49 @@ class SymmetryWitness(NamedTuple):
     swapped: tuple[int, ...]
 
 
-def _nested_value(values, size, arity, args, start):
-    # value of F(args[:start], F(args[start:start+n]), args[start+n:])
-    inner = 0
-    for k in range(start, start + arity):
-        inner = inner * size + args[k]
-    code = 0
-    for k in range(start):
-        code = code * size + args[k]
-    code = code * size + values[inner]
-    for k in range(start + arity, len(args)):
-        code = code * size + args[k]
-    return values[code]
+def _assoc_scan(t: OpTable, starts: Sequence[int]) -> AssociativityWitness | None:
+    """Compare adjacent nestings over all (2n-1)-tuples, a chunk at a time.
 
-
-def _assoc_scan_py(t: OpTable, starts: Sequence[int]) -> AssociativityWitness | None:
-    m, n = t.size, t.arity
-    values = t.values
-    width = 2 * n - 1
-    for s in starts:
-        for args in itertools.product(range(m), repeat=width):
-            if _nested_value(values, m, n, args, s) != _nested_value(values, m, n, args, s + 1):
-                return AssociativityWitness(args, s + 1)
-    return None
-
-
-@lru_cache(maxsize=4)
-def _digit_matrix(size: int, width: int) -> "np.ndarray":
-    codes = np.arange(size**width, dtype=np.int64)
-    cols = [(codes // (size ** (width - 1 - k))) % size for k in range(width)]
-    return np.stack(cols, axis=1)
-
-
-def _assoc_scan_np(t: OpTable, starts: Sequence[int]) -> AssociativityWitness | None:
+    Each chunk fixes the leading arguments and takes every suffix, so the
+    chunks, and the tuples within one, come in lexicographic order.  The
+    first mismatch of each start is kept; a start only matters until an
+    earlier one (in starts order) has a mismatch, so the scan ends once
+    the first pending start has one.
+    """
     m, n = t.size, t.arity
     width = 2 * n - 1
-    digits = _digit_matrix(m, width)
-    flat = np.asarray(t.values, dtype=np.int64)
-    cache: dict[int, "np.ndarray"] = {}
+    tail = 0
+    while tail < width and m ** (tail + 1) <= _CHUNK_CELLS:
+        tail += 1
+    suffixes = _digits(m, tail)
+    flat = np.asarray(t.values, dtype=np.intp)
 
-    def nested(s):
-        if s not in cache:
-            inner = digits[:, s : s + n] @ np.asarray(_strides(m, n), dtype=np.int64)
-            outer = flat[inner] * (m ** (n - 1 - s))
-            for k in range(s):
-                outer = outer + digits[:, k] * (m ** (n - 1 - k))
-            for k in range(s + n, width):
-                outer = outer + digits[:, k] * (m ** (2 * n - 2 - k))
-            cache[s] = flat[outer]
-        return cache[s]
+    def code(args):
+        # Horner from an intp zero: uint8 digits never meet a Python int
+        out = np.intp(0)
+        for a in args:
+            out = out * m + a
+        return out
 
-    for s in starts:
-        mismatch = nested(s) != nested(s + 1)
-        if mismatch.any():
-            row = int(np.argmax(mismatch))
-            return AssociativityWitness(tuple(int(d) for d in digits[row]), s + 1)
-    return None
+    pending = list(starts)
+    witness = None
+    for head in itertools.product(range(m), repeat=width - tail):
+        args = [*head, *suffixes]
+        nested: dict[int, "np.ndarray"] = {}
+        for i, s in enumerate(pending):
+            for k in (s, s + 1):
+                if k not in nested:
+                    inner = flat[code(args[k : k + n])]
+                    nested[k] = flat[code([*args[:k], inner, *args[k + n :]])]
+            mismatch = np.atleast_1d(nested[s] != nested[s + 1])
+            if mismatch.any():
+                row = int(np.argmax(mismatch))
+                witness = AssociativityWitness(head + tuple(suffixes[:, row].tolist()), s + 1)
+                pending = pending[:i]
+                break
+        if not pending:
+            break
+    return witness
 
 
 def check_associative(t: OpTable, use_symmetry: bool | None = None) -> AssociativityWitness | None:
@@ -193,9 +179,7 @@ def check_associative(t: OpTable, use_symmetry: bool | None = None) -> Associati
         starts: list[int] = [t.arity - 2]
     else:
         starts = list(range(t.arity - 2, -1, -1))
-    if t.size ** (2 * t.arity - 1) >= _VECTOR_SCAN_THRESHOLD:
-        return _assoc_scan_np(t, starts)
-    return _assoc_scan_py(t, starts)
+    return _assoc_scan(t, starts)
 
 
 class MultisetIndex(NamedTuple):
@@ -313,8 +297,6 @@ def band_violation(t: OpTable):
 
 def require_band(t: OpTable) -> None:
     """Raise DomainError naming the first violated band law."""
-    from .errors import DomainError
-
     found = band_violation(t)
     if found is not None:
         law, witness = found
@@ -423,7 +405,7 @@ def _relabeled_orbits(row: "np.ndarray", size: int, arity: int):
     perms[p][v] for v the old value on cell source[p, j] (_relabel_source).
     """
     cells = len(row)
-    count = max(1, _RELABEL_CHUNK_CELLS // (cells * arity))
+    count = max(1, _CHUNK_CELLS // (cells * arity))
     for lo in range(0, math.factorial(size), count):
         perms, source = _relabeling_chunk(size, arity, cells, lo, count)
         yield np.take_along_axis(perms, row[source], axis=1)

@@ -1,9 +1,11 @@
 """Earlier implementations kept as references for the code that replaced
 them: each computes its result its own way, and the tests compare."""
 
+import itertools
+
 import numpy as np
 
-from narybands import OpTable
+from narybands import AssociativityWitness, OpTable
 
 
 def covers_reference(q):
@@ -89,3 +91,30 @@ def build_reduction_reference(system, selection, n):
                 r = group.op(r, chosen[gamma])
             values.append(r)
     return OpTable(2, m, tuple(values))
+
+
+def assoc_witness_reference(t, starts):
+    """check_associative by the tuple scan: for each start in order, every
+    (2n-1)-tuple in lexicographic order, evaluating both nestings cell by
+    cell; the first tuple where nesting at start and at start + 1 differ."""
+    m, n = t.size, t.arity
+    values = t.values
+
+    def nested(args, start):
+        # value of F(args[:start], F(args[start:start+n]), args[start+n:])
+        inner = 0
+        for k in range(start, start + n):
+            inner = inner * m + args[k]
+        code = 0
+        for k in range(start):
+            code = code * m + args[k]
+        code = code * m + values[inner]
+        for k in range(start + n, len(args)):
+            code = code * m + args[k]
+        return values[code]
+
+    for s in starts:
+        for args in itertools.product(range(m), repeat=2 * n - 1):
+            if nested(args, s) != nested(args, s + 1):
+                return AssociativityWitness(args, s + 1)
+    return None

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from narybands import (
 from narybands.errors import DomainError
 
 from conftest import relabel_cells
+from references import assoc_witness_reference
 
 optable_module = importlib.import_module("narybands.optable")
 
@@ -205,6 +207,62 @@ def test_check_associative_brute_oracle():
             all_nestings_agree(t, args) for args in itertools.product(range(2), repeat=5)
         )
         assert (check_associative(t) is None) == expected
+
+
+def assoc_starts(t, use_symmetry):
+    """The nesting starts check_associative scans, in its order."""
+    if use_symmetry is None:
+        use_symmetry = transposition_witness(t) is None
+    return [t.arity - 2] if use_symmetry else list(range(t.arity - 2, -1, -1))
+
+
+@given(st.one_of(perturbed_tables(), any_tables()))
+@settings(max_examples=150, deadline=None)
+def test_check_associative_matches_tuple_scan(t):
+    # witness and position, under each use_symmetry mode and with chunks
+    # of 1, 4 and 7 argument tuples, so witnesses fall across chunks
+    for use_symmetry in (True, False, None):
+        expected = assoc_witness_reference(t, assoc_starts(t, use_symmetry))
+        assert check_associative(t, use_symmetry) == expected
+        for bound in (1, 4, 7):
+            with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
+                assert check_associative(t, use_symmetry) == expected
+
+
+def test_check_associative_bands_across_chunks(catalog_n3):
+    # a band passes every nesting pair, also when each chunk is one tuple
+    bands = [t for m in (1, 2, 3) for t in catalog_n3[m]]
+    for bound in (1, 4, 7):
+        with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
+            assert all(check_associative(t, use_symmetry=False) is None for t in bands)
+
+
+def test_check_associative_start_order_over_chunk_order(monkeypatch):
+    # nesting start 0 fails in the first chunk of four tuples, start 1 only
+    # in the sixth; start 1 is scanned first, so its witness is the one
+    t = table_from_function(3, 2, lambda x, y, z: int(not (x and (y or z))))
+    assert check_symmetric(t) is not None
+    assert assoc_witness_reference(t, [0]) == AssociativityWitness((0, 0, 0, 0, 1), 1)
+    expected = AssociativityWitness((1, 0, 1, 0, 1), 2)
+    assert assoc_witness_reference(t, [1, 0]) == expected
+    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", 4)
+    assert check_associative(t) == expected
+
+
+def test_check_associative_holds_one_chunk(monkeypatch):
+    # the scan asks _digits for one chunk's suffixes, never for the whole
+    # m^(2n-1) argument tuples
+    asked = []
+    digits = optable_module._digits
+
+    def recording(size, arity):
+        asked.append(size**arity)
+        return digits(size, arity)
+
+    t = table_from_function(5, 6, lambda *a: min(a))
+    monkeypatch.setattr(optable_module, "_digits", recording)
+    assert check_associative(t) is None
+    assert asked and max(asked) <= optable_module._CHUNK_CELLS < 6**9
 
 
 def test_check_symmetric_pinned_witness():
@@ -378,7 +436,7 @@ def test_canonical_form_chunks_agree(monkeypatch, f2):
     # tuple of a non-symmetric one
     non_symmetric = table_from_function(3, 4, lambda x, y, z: min(x, y) if z < 2 else z)
     assert check_symmetric(non_symmetric) is not None
-    monkeypatch.setattr(optable_module, "_RELABEL_CHUNK_CELLS", 1)
+    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", 1)
     for t in (f2, non_symmetric):
         expected = least_relabeling(t)
         for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
@@ -404,7 +462,7 @@ def test_canonical_forms_match_canonical_form(monkeypatch):
     expected = [[canonical_form(t).values for t in tables] for tables in lists]
     for tables, canon in zip(lists, expected):
         assert optable_module._canonical_forms(tables) == canon
-    monkeypatch.setattr(optable_module, "_RELABEL_CHUNK_CELLS", 1)
+    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", 1)
     for tables, canon in zip(lists[3:], expected[3:]):
         assert optable_module._canonical_forms(tables) == canon
 
