@@ -352,13 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
     q = oracle_sub.add_parser(
-        "reductions", parents=[out_flag], help="scan every binary table for reductions"
+        "reductions", parents=[out_flag], help="find reductions by a forcing search (2^21 nodes)"
     )
     q.add_argument("file", help="operation table JSON ('-' for stdin)")
     q.add_argument(
         "--all-tables",
         action="store_true",
-        help="scan non-symmetric tables too (small sizes only)",
+        help="search non-symmetric tables too (same node budget)",
     )
     q.set_defaults(func=cmd_oracle_reductions)
     q = oracle_sub.add_parser(

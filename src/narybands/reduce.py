@@ -4,16 +4,12 @@ A band is reducible exactly when its classes admit a coherent choice of
 neutral elements: one e per class, mapped onto each other by the
 connecting homomorphisms.  Choices are only free at maximal classes;
 everything below is forced, so the search is a small DFS with forward
-checking.  A brute-force table scan serves as the independent oracle.
+checking.  The independent oracle is a forcing search over binary tables.
 """
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from .errors import ConsistencyError, DomainError, InputError, ResourceError, Violation
+from .errors import DomainError, InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
 from .structure import StrongSystem, _compose_system, validate_system
 
@@ -175,73 +171,72 @@ def verify_reduction(t: OpTable, reduction: OpTable) -> list[Violation]:
     return out
 
 
-@lru_cache(maxsize=3)
-def _reduction_candidates(m: int, symmetric_only: bool):
-    if symmetric_only:
-        cells = [(x, y) for x in range(m) for y in range(x, m)]
-    else:
-        cells = [(x, y) for x in range(m) for y in range(m)]
-    count = len(cells)
-    total = m**count
-    codes = np.arange(total, dtype=np.int64)
-    cols = [
-        ((codes // (m ** (count - 1 - j))) % m).astype(np.int8) for j in range(count)
-    ]
-    digits = np.stack(cols, axis=1)
-    digits.flags.writeable = False
-    colmap = np.zeros((m, m), dtype=np.int64)
-    for j, (x, y) in enumerate(cells):
-        colmap[x, y] = j
-        if symmetric_only:
-            colmap[y, x] = j
-    return digits, colmap
-
-
 def brute_force_reductions(
     t: OpTable,
     symmetric_only: bool = True,
     max_candidates: int = REDUCTION_CANDIDATE_BUDGET,
 ) -> list[OpTable]:
-    """Every binary table whose (arity-1)-fold extension equals t, by
-    exhaustive scan; symmetric tables only unless symmetric_only is False
-    (any reduction of a symmetric band is symmetric, so the default loses
-    nothing there).  Survivors are re-checked for associativity."""
+    """Every associative binary table G whose (arity-1)-fold extension is t,
+    sorted by values; symmetric G only unless symmetric_only is False (any
+    reduction of a symmetric band is symmetric).  Backtracking over G's
+    cells, forcing to a fixpoint: once v = G(s1, G(s2, ...)) is known for an
+    (arity-1)-suffix s, the row G(., v) must equal t(., s).  Each value tried
+    at a free cell is a node; ResourceError past max_candidates nodes, or up
+    front when one forcing pass (m^(arity-1) suffixes) is larger.  Shares no
+    code with the structure theory."""
     m, n = t.size, t.arity
-    if n == 2:
-        if symmetric_only and check_symmetric(t) is not None:
-            return []
-        if check_associative(t) is not None:
-            return []
-        return [t]
-    cell_count = m * (m + 1) // 2 if symmetric_only else m * m
-    total = m**cell_count
-    if total > max_candidates:
+    width = m ** (n - 1)
+    if width > max_candidates:
         raise ResourceError(
-            f"{m}**{cell_count} = {total} candidate tables exceed the budget {max_candidates}"
+            f"one forcing pass over {m}**{n - 1} = {width} suffixes exceeds the budget {max_candidates}"
         )
-    digits, colmap = _reduction_candidates(m, symmetric_only)
-    cur = digits
-    for suffix in itertools.product(range(m), repeat=n - 1):
-        vec = cur[:, colmap[suffix[-2], suffix[-1]]]
-        for j in range(len(suffix) - 3, -1, -1):
-            vec = cur[np.arange(cur.shape[0]), colmap[suffix[j], vec]]
-        for first in range(m):
-            lhs = cur[np.arange(cur.shape[0]), colmap[first, vec]]
-            want = t.eval((first, *suffix))
-            keep = lhs == want
-            if not bool(keep.all()):
-                cur = cur[keep]
-                vec = vec[keep]
-            if cur.shape[0] == 0:
-                return []
+    values, cells = t.values, m * m
+    twin = [(i % m) * m + i // m if symmetric_only else i for i in range(cells)]
+
+    def force(g: list, pending: list) -> list | None:
+        # fill g with every cell the known suffix values imply; the suffixes
+        # whose value is still unknown, or None on a clash
+        while True:
+            rest, changed = [], False
+            for code in pending:
+                high, u = divmod(code, m)
+                for _ in range(n - 2):
+                    high, a = divmod(high, m)
+                    u = g[a * m + u]
+                    if u is None:
+                        rest.append(code)
+                        break
+                else:
+                    for i, v in zip(range(u, cells, m), values[code::width]):
+                        if g[i] is None:
+                            g[i] = g[twin[i]] = v
+                            changed = True
+                        elif g[i] != v:
+                            return None
+            if not changed:
+                return rest
+            pending = rest
+
     out = []
-    for row in cur:
-        g = OpTable(2, m, tuple(int(row[colmap[x, y]]) for x in range(m) for y in range(m)))
-        if check_associative(g) is not None:
-            raise ConsistencyError("a scanned reduction failed the associativity recheck")
-        out.append(g)
-    out.sort(key=lambda g: g.values)
-    return out
+    stack = [([None] * cells, list(range(width)))]
+    nodes = 0
+    while stack:
+        g, pending = stack.pop()
+        pending = force(g, pending)
+        if pending is None:
+            continue
+        cell = next((i for i in range(cells) if g[i] is None), None)
+        if cell is None:
+            out.append(OpTable(2, m, tuple(g)))
+            continue
+        for v in range(m):
+            nodes += 1
+            if nodes > max_candidates:
+                raise ResourceError(f"reduction search passed the budget of {max_candidates} nodes")
+            h = g.copy()
+            h[cell] = h[twin[cell]] = v
+            stack.append((h, pending))
+    return sorted((g for g in out if check_associative(g) is None), key=lambda g: g.values)
 
 
 def reduction_result_to_doc(result, labels=None) -> dict:

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 
-from narybands import AssociativityWitness, OpTable
+from narybands import AssociativityWitness, OpTable, check_associative, extend
 
 
 def covers_reference(q):
@@ -118,3 +118,19 @@ def assoc_witness_reference(t, starts):
             if nested(args, s) != nested(args, s + 1):
                 return AssociativityWitness(args, s + 1)
     return None
+
+
+def reductions_reference(t, symmetric_only=True):
+    """brute_force_reductions by the plain scan: every binary table (every
+    symmetric one when symmetric_only) whose (n-1)-fold extension is t and
+    which is associative, in order of values."""
+    m, n = t.size, t.arity
+    cells = [(x, y) for x in range(m) for y in range(x if symmetric_only else 0, m)]
+    out = []
+    for digits in itertools.product(range(m), repeat=len(cells)):
+        chosen = dict(zip(cells, digits))
+        values = (chosen.get((x, y), chosen.get((y, x))) for x in range(m) for y in range(m))
+        g = OpTable(2, m, tuple(values))
+        if extend(g, n - 1) == t and check_associative(g) is None:
+            out.append(g)
+    return sorted(out, key=lambda g: g.values)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from narybands import __version__, relabel, table_from_json, table_to_json
+from narybands import __version__, relabel, table_from_function, table_from_json, table_to_json
 from narybands.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -208,6 +208,21 @@ def test_oracle_reductions(capsys):
     code, out, _ = run(capsys, "oracle", "reductions", F1_PATH)
     assert code == 1
     assert json.loads(out.strip().splitlines()[-1]) == {"count": 0}
+
+
+@pytest.mark.parametrize(
+    "f, flags",
+    [(lambda x, y: 1 - (x & y), ()), (lambda x, y: (1 - x) | y, ("--all-tables",))],
+    ids=["nand", "implication"],
+)
+def test_oracle_reductions_drops_non_associative(capsys, tmp_path, f, flags):
+    # the ternary right-nesting of a non-associative binary operation: the
+    # operation extends to it, but it is no reduction
+    nesting = table_from_function(3, 2, lambda x, y, z: f(x, f(y, z)))
+    path = tmp_path / "nesting.json"
+    path.write_text(table_to_json(nesting))
+    code, out, err = run(capsys, "oracle", "reductions", str(path), *flags)
+    assert (code, out, err) == (1, '{"count": 0}\n', "")
 
 
 def test_isomorphic(capsys, tmp_path):

@@ -1,7 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from narybands import (
-    ConsistencyError,
     InputError,
     Irreducible,
     NeutralSelection,
@@ -29,7 +32,7 @@ from narybands import (
     verify_reduction,
 )
 
-from references import build_reduction_reference
+from references import build_reduction_reference, reductions_reference
 
 F2_REDUCTION_ROWS = (0, 3, 2, 3, 3, 1, 2, 3, 2, 2, 3, 2, 3, 3, 2, 3)
 
@@ -137,9 +140,86 @@ def test_brute_force_binary_input(catalog_n2):
 
 
 def test_brute_force_budget():
-    big = table_from_function(3, 5, lambda *a: min(a))
-    with pytest.raises(ResourceError):
-        brute_force_reductions(big)
+    # the constant ternary table on 4 elements has 22 symmetric reductions
+    # and takes more search nodes than its 16 suffixes
+    zero = table_from_function(3, 4, lambda *a: 0)
+    assert len(brute_force_reductions(zero)) == 22
+    with pytest.raises(ResourceError, match="^reduction search passed the budget of 40 nodes$"):
+        brute_force_reductions(zero, max_candidates=40)
+
+
+def test_reduction_search_budget_up_front():
+    # 2**39 suffixes exceed the default budget; refused before the table's
+    # values are read, so a bare size and arity suffice
+    with pytest.raises(ResourceError, match=r"2\*\*39 = 549755813888 suffixes"):
+        brute_force_reductions(SimpleNamespace(size=2, arity=40))
+    with pytest.raises(ResourceError, match="suffixes"):
+        brute_force_reductions(table_from_function(4, 3, lambda *a: min(a)), max_candidates=26)
+
+
+def test_reduction_search_runs_past_the_old_scan():
+    # 5**15 symmetric candidate tables: more than the old scan's budget
+    min5 = table_from_function(3, 5, lambda *a: min(a))
+    assert brute_force_reductions(min5) == [table_from_function(2, 5, min)]
+
+
+def nand(x, y):
+    return 1 - (x & y)
+
+
+def implies(x, y):
+    return (1 - x) | y
+
+
+NAND3 = table_from_function(3, 2, lambda x, y, z: nand(x, nand(y, z)))
+IMPLIES3 = table_from_function(3, 2, lambda x, y, z: implies(x, implies(y, z)))
+
+
+def test_non_associative_nestings_have_no_reduction():
+    # NAND and implication extend to their nestings but are not associative
+    assert check_associative(table_from_function(2, 2, nand)) is not None
+    assert brute_force_reductions(NAND3) == []
+    assert brute_force_reductions(IMPLIES3, symmetric_only=False) == []
+    assert brute_force_reductions(IMPLIES3) == []
+
+
+@st.composite
+def small_tables(draw):
+    """m <= 3 and n <= 4: random values, or the extension of a random
+    binary table (so that reductions exist)."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    binary = draw(st.booleans())
+    cells = m * m if binary else m**n
+    values = tuple(draw(st.lists(st.integers(0, m - 1), min_size=cells, max_size=cells)))
+    return extend(OpTable(2, m, values), n - 1) if binary else OpTable(n, m, values)
+
+
+def assert_search_matches_scan(t):
+    assert brute_force_reductions(t) == reductions_reference(t)
+    if t.size <= 2:
+        assert brute_force_reductions(t, symmetric_only=False) == reductions_reference(t, False)
+
+
+def test_reduction_search_matches_scan_on_every_small_table():
+    # every table on 1 or 2 elements at arity 2 and 3, band or not
+    for m, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        for values in itertools.product(range(m), repeat=m**n):
+            assert_search_matches_scan(OpTable(n, m, values))
+
+
+def test_reduction_search_matches_scan_on_catalogs():
+    for n in (2, 3, 4):
+        for m in (1, 2, 3):
+            for t in enumerate_bands(m, n).entries:
+                assert_search_matches_scan(t)
+    for t in (NAND3, IMPLIES3):
+        assert_search_matches_scan(t)
+
+
+@given(small_tables())
+@settings(max_examples=80, deadline=None)
+def test_reduction_search_matches_scan(t):
+    assert_search_matches_scan(t)
 
 
 def test_oracle_agrees_with_decision(catalog_n3):
