@@ -191,12 +191,15 @@ def right_normal_sigma_related(band: OpTable, x: int, y: int) -> bool:
 def sigma_partition(t: OpTable, verify: bool = True) -> SigmaPartition:
     """Group elements by equal translation rows; least congruence whose
     quotient is a semilattice."""
-    lam = lambda_table(t, verify=verify)
+    return _rows_sigma(lambda_table(t, verify=verify))
+
+
+def _rows_sigma(lam: LambdaTable) -> SigmaPartition:
     by_row: dict[tuple[int, ...], list[int]] = {}
-    for x in range(t.size):
+    for x in range(lam.size):
         by_row.setdefault(lam.rows[x], []).append(x)
     classes = tuple(sorted((tuple(c) for c in by_row.values()), key=lambda c: c[0]))
-    class_of = [0] * t.size
+    class_of = [0] * lam.size
     for i, members in enumerate(classes):
         for x in members:
             class_of[x] = i

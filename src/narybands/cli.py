@@ -3,9 +3,9 @@ decomposition and composition, reducibility, extension, enumeration,
 brute-force oracles, and isomorphism testing over JSON table files.
 
 Exit codes: 0 success / property holds, 1 property fails on well-formed
-input, 2 malformed input or exceeded resource budget.  A ConsistencyError
-(a failed internal cross-check) also exits 1: it is what a non-band run
-with --no-verify raises, and that input fails the property.
+input, 2 malformed input or exceeded resource budget or memory.  A
+ConsistencyError (a failed internal cross-check) also exits 1: it is what
+a non-band run with --no-verify raises, and that input fails the property.
 """
 
 import argparse
@@ -387,8 +387,8 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except (InputError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, ResourceError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (DomainError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, InputError, ResourceError
+from .errors import ConsistencyError, InputError, ResourceError
 from .bandcore import QuotientSemilattice
 from .optable import (
     OpTable,
@@ -21,7 +21,7 @@ from .optable import (
     _canonical_orbits,
     symmetric_table,
 )
-from .structure import StrongSystem, _compose_orbits, _compose_system, validate_system
+from .structure import StrongSystem, _compose_orbits, _compose_system, require_valid_system
 
 ENUMERATE_SIZE_LIMIT = 5
 BRUTE_CANDIDATE_BUDGET = 2**21
@@ -403,10 +403,7 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
     if not isinstance(n, int) or n < 2:
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
     if verify:
-        report = validate_system(system, n)
-        if report:
-            summary = "; ".join(f"{v.code}: {v.message}" for v in report)
-            raise DomainError(f"system fails validation: {summary}")
+        require_valid_system(system, n)
     return _compose_system(system, n, [v for g in system.groups for v in g.cayley.values])
 
 
@@ -445,9 +442,8 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
         starts = [0, *itertools.accumulate(sizes)]
         classes = [range(starts[c], starts[c + 1]) for c in range(k)]
         class_of = [c for c, s in enumerate(sizes) for _ in range(s)]
-        own = [0] * (m * k)  # own[x * k + c]: position of x in its class c, else 0
-        for x, c in enumerate(class_of):
-            own[x * k + c] = x - starts[c]
+        # x in its own class, else the least member of c (forced if c has one element)
+        own = [x if c == class_of[x] else starts[c] for x in range(m) for c in range(k)]
         systems = []  # (meet, cayley, image) per system, as _compose_orbits takes them
         for q in _semilattices(k):
             # singleton classes only: every map is forced, nothing to plan
@@ -458,7 +454,7 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
                     image = own.copy()
                     for (g, c), pmap in phi.items():
                         for x, p in zip(classes[g], pmap):
-                            image[x * k + c] = p
+                            image[x * k + c] = starts[c] + p
                     systems.append((q.meet.values, cayley, image))
         blocks.append(_compose_orbits(n, class_of, classes, *zip(*systems)).astype(np.uint8))
     orbits = np.concatenate(blocks)

@@ -9,9 +9,9 @@ checking.  The independent oracle is a forcing search over binary tables.
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InputError, ResourceError, Violation
+from .errors import InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
-from .structure import StrongSystem, _compose_system, validate_system
+from .structure import StrongSystem, _compose_system, require_valid_system
 
 REDUCTION_CANDIDATE_BUDGET = 2**21
 
@@ -73,11 +73,11 @@ def build_reduction(
     for c in range(k):
         if chosen[c] not in system.partition.classes[c]:
             raise InputError(f"selected element {chosen[c]} is not in class {c}")
-    for (a, b), hom in system.homs.items():
-        if a != b and hom.apply(chosen[a]) != chosen[b]:
+    for a, b in system.quotient.comparable_pairs():
+        if a != b and system.image[chosen[a] * k + b] != chosen[b]:
             raise InputError(
                 f"selection is not coherent: map ({a}, {b}) sends {chosen[a]} "
-                f"to {hom.apply(chosen[a])}, not {chosen[b]}"
+                f"to {system.image[chosen[a] * k + b]}, not {chosen[b]}"
             )
     rebased = []
     for g, e in zip(system.groups, chosen):
@@ -101,11 +101,8 @@ def decide_reducible(
     """
     n = system.arity if arity is None else arity
     if verify:
-        report = validate_system(system, n)
-        if report:
-            summary = "; ".join(f"{v.code}: {v.message}" for v in report)
-            raise DomainError(f"system fails validation: {summary}")
-    k = system.quotient.size
+        require_valid_system(system, n)
+    k, image = system.quotient.size, system.image
     uppers = system.quotient.uppers
     order = sorted(range(k), key=lambda c: (len(uppers[c]), c))
     selection: list[int | None] = [None] * k
@@ -125,8 +122,7 @@ def decide_reducible(
         images = set()
         sources = []
         for d in uppers[c]:
-            image = system.homs[(d, c)].apply(selection[d])
-            images.add(image)
+            images.add(image[selection[d] * k + c])
             sources.append((d, selection[d]))
         if len(images) == 1:
             selection[c] = images.pop()

@@ -6,18 +6,20 @@ connecting homomorphisms.  This module extracts that system from a table,
 validates a system given independently, and serializes both ways.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, Violation
+from .errors import ConsistencyError, DomainError, InputError, Violation
 from .bandcore import (
     QuotientSemilattice,
     SigmaPartition,
+    _rows_sigma,
     associated_band,
+    lambda_table,
     quotient,
     sigma_partition,
 )
@@ -241,24 +243,27 @@ class HomMap:
 class StrongSystem:
     """Semilattice of classes, a group per class, coherent connecting maps.
 
-    homs is keyed by (upper, lower) over every comparable pair, including
-    (i, i).  arity records the n the system was built for; validation and
-    composition default to it.
+    partition splits the m elements into k classes, quotient orders them
+    and groups holds one ClassGroup per class; arity is the n validation
+    and composition default to.  image holds every connecting map as one
+    flat m x k matrix of elements: image[x * k + c] is the image of x in
+    class c if c is at or below the class of x, else -1.  homs views it as
+    one HomMap per comparable pair.
     """
 
     arity: int
     partition: SigmaPartition
     quotient: QuotientSemilattice
     groups: tuple[ClassGroup, ...]
-    homs: dict[tuple[int, int], HomMap]
+    image: tuple[int, ...]
 
     def __post_init__(self):
         if not isinstance(self.arity, int) or self.arity < 2:
             raise InputError(f"arity must be an integer >= 2, got {self.arity!r}")
-        groups = tuple(self.groups)
+        groups, image = tuple(self.groups), tuple(int(v) for v in self.image)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "homs", dict(self.homs))
-        k = self.partition.size
+        object.__setattr__(self, "image", image)
+        m, k = self.size, self.partition.size
         if self.quotient.size != k or len(groups) != k:
             raise InputError("partition, quotient, and groups disagree on class count")
         for i, g in enumerate(groups):
@@ -266,21 +271,32 @@ class StrongSystem:
                 raise InputError(f"group at slot {i} carries class_index {g.class_index}")
             if g.members != self.partition.classes[i]:
                 raise InputError(f"group {i} members disagree with the partition")
-        if set(self.homs) != set(self.quotient.comparable_pairs()):
+        if len(image) != m * k:
+            raise InputError(f"image must have {m} x {k} cells, got {len(image)}")
+        class_of, leq = self.partition.class_of, self.quotient.leq
+        if [v != -1 for v in image] != [leq(c, a) for a in class_of for c in range(k)]:
             raise InputError("homs must cover exactly the comparable class pairs")
-        for (a, b), hom in self.homs.items():
-            if hom.from_class != a or hom.to_class != b:
-                raise InputError(f"hom at key ({a}, {b}) is labeled ({hom.from_class}, {hom.to_class})")
-            if tuple(x for x, _ in hom.mapping) != self.partition.classes[a]:
-                raise InputError(f"hom ({a}, {b}) domain is not exactly class {a}")
-            members_b = set(self.partition.classes[b])
-            for _, img in hom.mapping:
-                if img not in members_b:
-                    raise InputError(f"hom ({a}, {b}) maps outside class {b}")
+        for a, b in self.quotient.comparable_pairs():
+            images = (image[x * k + b] for x in self.partition.classes[a])
+            if any(not 0 <= y < m or class_of[y] != b for y in images):
+                raise InputError(f"hom ({a}, {b}) maps outside class {b}")
 
     @property
     def size(self) -> int:
         return len(self.partition.class_of)
+
+    @cached_property
+    def homs(self) -> dict[tuple[int, int], HomMap]:
+        """The maps as HomMap views keyed (upper, lower), (i, i) included."""
+        return _hom_views(self.partition, self.quotient, self.image)
+
+
+def _hom_views(partition: SigmaPartition, semilattice: QuotientSemilattice, image):
+    k = partition.size
+    return {
+        (a, b): HomMap(a, b, tuple((x, image[x * k + b]) for x in partition.classes[a]))
+        for a, b in semilattice.comparable_pairs()
+    }
 
 
 def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
@@ -290,11 +306,11 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     class_of[x] is the class of element x; class c has the elements
     members[c], in position order.  System s has the k x k meet table
     meets[s], its class groups' flat tables of positions laid end to end
-    in cayleys[s], and the m x k matrix images[s] (flat or not): the
-    position in class c of the image of x, for every c at or below the
-    class of x.  Each multiset is sent into the meet of its classes and
-    its images are multiplied there: the meet is commutative and the
-    groups are Abelian, so one value per multiset fixes the table.
+    in cayleys[s], and the m x k matrix images[s] (flat or not): the image
+    of x in class c, an element, for every c at or below the class of x;
+    other cells are never read.  Each multiset is sent into the meet of its
+    classes and its images are multiplied there: the meet is commutative
+    and the groups are Abelian, so one value per multiset fixes the table.
     """
     m, k = len(class_of), len(members)
     args = _multiset_args(m, n)
@@ -302,41 +318,54 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
     cayley = np.asarray(cayleys, dtype=np.intp).reshape(len(meet), -1)
     image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
+    # the class groups as one table of elements per system: product[s, x, y]
+    # is x * y when x and y share a class (other cells are never read)
+    product = np.zeros((len(meet), m, m), dtype=np.intp)
+    start = 0
+    for c in map(np.asarray, members):
+        table = cayley[:, start : start + len(c) ** 2].reshape(-1, len(c), len(c))
+        product[:, c[:, None], c] = c[table]
+        start += len(c) ** 2
     row = np.arange(len(meet))[:, None]
     alpha = arg_classes[:, 0]
     for j in range(1, n):
         alpha = meet[row, alpha, arg_classes[:, j]]
-    sizes = [len(c) for c in members]
-    # the classes' tables and members laid end to end, class c's starting
-    # at cayley_start[c] and member_start[c]
-    cayley_start = np.array([0, *itertools.accumulate(s * s for s in sizes[:-1])])
-    member_start = np.array([0, *itertools.accumulate(sizes[:-1])])
-    base = cayley_start[alpha]
-    order = np.array(sizes)[alpha]
-    # in place, so that a batch holds few (systems x multisets) arrays
     acc = image[row, args[:, 0], alpha]
     for j in range(1, n):
-        acc *= order
-        acc += base
-        acc += image[row, args[:, j], alpha]
-        acc = cayley[row, acc]
-    acc += member_start[alpha]
-    return np.array([x for c in members for x in c])[acc]
+        acc = product[row, acc, image[row, args[:, j], alpha]]
+    return acc
 
 
 def _compose_system(system: StrongSystem, n: int, cayleys) -> OpTable:
     """The symmetric table of arity n composed from system (_compose_orbits)
     through the class tables cayleys: flat tables of positions laid end to
     end in class order, the class groups' own or re-based ones."""
-    k = system.quotient.size
-    images = [0] * (system.size * k)
-    for (_, lower), hom in system.homs.items():
-        for x, image in hom.mapping:
-            images[x * k + lower] = system.groups[lower].position(image)
-    members = [g.members for g in system.groups]
-    meet = system.quotient.meet.values
-    orbits = _compose_orbits(n, system.partition.class_of, members, [meet], [cayleys], [images])
+    p, meet = system.partition, system.quotient.meet.values
+    orbits = _compose_orbits(n, p.class_of, p.classes, [meet], [cayleys], [system.image])
     return symmetric_table(n, system.size, orbits[0])
+
+
+def _image_matrix(band, partition: SigmaPartition, semilattice: QuotientSemilattice):
+    """StrongSystem.image read off the associated band's values: the image
+    of x in a class c at or below the class of x is B(y, x), for any y in c.
+    ConsistencyError, for the first comparable pair in order, when the
+    members of the lower class disagree or an image escapes it."""
+    class_of, k = np.asarray(partition.class_of), partition.size
+    values = np.reshape(band, (len(class_of), len(class_of)))
+    # below[x, c]: c is at or below the class of x
+    below = np.array([[semilattice.leq(c, a) for c in range(k)] for a in range(k)])[class_of]
+    image = np.where(below, values[[c[0] for c in partition.classes]].T, -1)
+    # wrong[y, x]: B(y, x) is not the image of x in the class of y, or escapes it
+    wrong = (values != image[:, class_of].T) | (class_of[values] != class_of[:, None])
+    ys, xs = (below[:, class_of].T & wrong).nonzero()
+    if len(ys):
+        upper, lower = min(zip(class_of[xs].tolist(), class_of[ys].tolist()))
+        rows = values[np.ix_(partition.classes[lower], partition.classes[upper])]
+        if (rows != rows[0]).any():
+            raise ConsistencyError(f"translation maps from class {lower} disagree on class {upper}")
+        escaped = next(v for v in rows[0].tolist() if class_of[v] != lower)
+        raise ConsistencyError(f"translation image {escaped} escapes class {lower}")
+    return tuple(image.ravel().tolist())
 
 
 def hom_maps(
@@ -357,24 +386,8 @@ def hom_maps(
         partition = sigma_partition(t, verify=False)
     if semilattice is None:
         semilattice = quotient(t, partition)[2]
-    band = associated_band(t, verify=False)
-    m = t.size
-    out: dict[tuple[int, int], HomMap] = {}
-    for upper, lower in semilattice.comparable_pairs():
-        candidates = []
-        for y in partition.classes[lower]:
-            candidates.append(
-                tuple((x, band.values[y * m + x]) for x in partition.classes[upper])
-            )
-        if any(c != candidates[0] for c in candidates[1:]):
-            raise ConsistencyError(
-                f"translation maps from class {lower} disagree on class {upper}"
-            )
-        for _, img in candidates[0]:
-            if partition.class_of[img] != lower:
-                raise ConsistencyError(f"translation image {img} escapes class {lower}")
-        out[(upper, lower)] = HomMap(upper, lower, candidates[0])
-    return out
+    image = _image_matrix(associated_band(t, verify=False).values, partition, semilattice)
+    return _hom_views(partition, semilattice, image)
 
 
 def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
@@ -385,33 +398,12 @@ def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
     """
     if verify:
         require_band(t)
-    partition = sigma_partition(t, verify=False)
+    lam = lambda_table(t, verify=False)
+    partition = _rows_sigma(lam)
     _, _, semilattice = quotient(t, partition)
-    groups = tuple(
-        class_group(t, partition.classes[i], index=i) for i in range(partition.size)
-    )
-    homs = hom_maps(t, partition, semilattice, verify=False)
-    return StrongSystem(t.arity, partition, semilattice, groups, homs)
-
-
-def _hom_respects_groups(system: StrongSystem, n: int, a: int, b: int) -> bool:
-    # phi is an n-ary hom between class extensions iff
-    # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
-    hom = system.homs[(a, b)]
-    gu = system.groups[a]
-    gl = system.groups[b]
-    shift = hom.apply(gu.neutral)
-    shift_pos = gl.position(shift)
-    tail = gl.power_position(shift_pos, n - 2) if n > 2 else None
-    for x in gu.members:
-        for y in gu.members:
-            lhs = gl.position(hom.apply(gu.op(x, y)))
-            rhs = gl.op_position(gl.position(hom.apply(x)), gl.position(hom.apply(y)))
-            if tail is not None:
-                rhs = gl.op_position(rhs, tail)
-            if lhs != rhs:
-                return False
-    return True
+    groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
+    image = _image_matrix(lam.rows, partition, semilattice)
+    return StrongSystem(t.arity, partition, semilattice, groups, image)
 
 
 def validate_system(system: StrongSystem, arity: int | None = None) -> list[Violation]:
@@ -430,33 +422,39 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
     for g in system.groups:
         for code, message in _failed_group_laws(g.cayley, g.position(g.neutral), n):
             report(Violation(code, f"class {g.class_index}: {message}"))
-    for (a, b), hom in sorted(system.homs.items()):
-        if a == b:
-            if any(x != y for x, y in hom.mapping):
-                report(Violation("hom-identity", f"map ({a}, {a}) is not the identity"))
-        if not _hom_respects_groups(system, n, a, b):
-            report(
-                Violation(
-                    "hom-multiplicative",
-                    f"map ({a}, {b}) is not a homomorphism of the class extensions",
-                )
-            )
-    pairs = sorted(system.homs)
+    k, image, classes = system.quotient.size, system.image, system.partition.classes
+    pairs = system.quotient.comparable_pairs()
     for a, b in pairs:
-        for c in range(system.quotient.size):
-            if (b, c) not in system.homs or (a, c) not in system.homs:
-                continue
-            upper = system.homs[(a, b)]
-            lower = system.homs[(b, c)]
-            direct = system.homs[(a, c)]
-            if any(lower.apply(upper.apply(x)) != direct.apply(x) for x, _ in direct.mapping):
-                report(
-                    Violation(
-                        "hom-composition",
-                        f"maps along {a} >= {b} >= {c} do not compose coherently",
-                    )
-                )
+        if a == b and any(image[x * k + a] != x for x in classes[a]):
+            report(Violation("hom-identity", f"map ({a}, {a}) is not the identity"))
+        # phi is an n-ary hom between class extensions iff
+        # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
+        upper, lower = system.groups[a], system.groups[b]
+        phi = [lower.position(image[x * k + b]) for x in classes[a]]
+        order, cayley = lower.order, lower.cayley.values
+        rhs = [cayley[p * order + q] for p in phi for q in phi]
+        if n > 2:
+            tail = lower.power_position(phi[upper.position(upper.neutral)], n - 2)
+            rhs = [cayley[r * order + tail] for r in rhs]
+        if rhs != [phi[v] for v in upper.cayley.values]:
+            message = f"map ({a}, {b}) is not a homomorphism of the class extensions"
+            report(Violation("hom-multiplicative", message))
+    for a, b in pairs:
+        for c in range(k):
+            if system.quotient.leq(c, b) and any(
+                image[image[x * k + b] * k + c] != image[x * k + c] for x in classes[a]
+            ):
+                message = f"maps along {a} >= {b} >= {c} do not compose coherently"
+                report(Violation("hom-composition", message))
     return out
+
+
+def require_valid_system(system: StrongSystem, arity: int | None = None) -> None:
+    """DomainError naming every violation validate_system reports, if any."""
+    report = validate_system(system, arity)
+    if report:
+        summary = "; ".join(f"{v.code}: {v.message}" for v in report)
+        raise DomainError(f"system fails validation: {summary}")
 
 
 def system_to_doc(system: StrongSystem, labels=None) -> dict:
@@ -468,18 +466,17 @@ def system_to_doc(system: StrongSystem, labels=None) -> dict:
     if len(labels) != size:
         raise InputError(f"{len(labels)} labels for {size} elements")
     k = system.partition.size
-    meet = [
-        [system.quotient.meet_of(a, b) for b in range(k)] for a in range(k)
-    ]
+    meet = np.reshape(system.quotient.meet.values, (k, k)).tolist()
     groups = []
     for g in system.groups:
         rows = [
             [g.members[g.op_position(i, j)] for j in range(g.order)] for i in range(g.order)
         ]
         groups.append({"class": g.class_index, "neutral": g.neutral, "cayley": rows})
+    classes, image = system.partition.classes, system.image
     homs = [
-        {"from": a, "to": b, "map": {str(x): y for x, y in system.homs[(a, b)].mapping}}
-        for a, b in sorted(system.homs)
+        {"from": a, "to": b, "map": {str(x): image[x * k + b] for x in classes[a]}}
+        for a, b in system.quotient.comparable_pairs()
     ]
     return {
         "arity": system.arity,
@@ -581,26 +578,33 @@ def system_from_doc(doc) -> tuple[StrongSystem, tuple[str, ...]]:
     raw_homs = doc["homs"]
     if not isinstance(raw_homs, list):
         raise InputError("homs must be a list")
-    homs: dict[tuple[int, int], HomMap] = {}
+    image = [-1] * (size * k)  # the cells of pairs the document leaves out stay -1
+    seen = set()
     for entry in raw_homs:
         if not isinstance(entry, dict) or {"from", "to", "map"} - entry.keys():
             raise InputError("each hom needs from, to, and map")
         a = _doc_int(entry["from"], "hom source class")
         b = _doc_int(entry["to"], "hom target class")
-        if not (0 <= a < k and 0 <= b < k) or (a, b) in homs:
+        if not (0 <= a < k and 0 <= b < k) or (a, b) in seen:
             raise InputError(f"hom ({a}, {b}) repeated or out of range")
+        seen.add((a, b))
         raw_map = entry["map"]
         if not isinstance(raw_map, dict):
             raise InputError(f"hom ({a}, {b}) map must be an object")
-        pairs = []
+        mapping = {}
         for key, img in raw_map.items():
             try:
                 src = int(key)
             except (TypeError, ValueError):
                 raise InputError(f"hom ({a}, {b}) has non-integer source {key!r}") from None
-            pairs.append((src, _doc_int(img, "hom image")))
-        homs[(a, b)] = HomMap(a, b, tuple(pairs))
-    system = StrongSystem(arity, partition, semilattice, tuple(groups), homs)
+            mapping[src] = _doc_int(img, "hom image")
+        if len(mapping) != len(raw_map):
+            raise InputError("mapping has a repeated source element")
+        if sorted(mapping) != list(classes[a]):
+            raise InputError(f"hom ({a}, {b}) domain is not exactly class {a}")
+        for src, img in mapping.items():
+            image[src * k + b] = img
+    system = StrongSystem(arity, partition, semilattice, tuple(groups), image)
     return system, tuple(labels)
 
 

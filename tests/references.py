@@ -134,3 +134,38 @@ def reductions_reference(t, symmetric_only=True):
         if extend(g, n - 1) == t and check_associative(g) is None:
             out.append(g)
     return sorted(out, key=lambda g: g.values)
+
+
+def hom_violations_reference(system, n):
+    """validate_system's checks of the connecting maps, pair by pair through
+    the HomMap views, as (code, message) pairs: identity and multiplicative
+    per pair in key order, then coherence along every chain a >= b >= c."""
+    out = []
+    homs = system.homs
+    for (a, b), hom in sorted(homs.items()):
+        if a == b and any(x != y for x, y in hom.mapping):
+            out.append(("hom-identity", f"map ({a}, {a}) is not the identity"))
+        # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
+        gu, gl = system.groups[a], system.groups[b]
+        shift = gl.position(hom.apply(gu.neutral))
+        tail = gl.power_position(shift, n - 2) if n > 2 else None
+
+        def rhs(x, y):
+            r = gl.op_position(gl.position(hom.apply(x)), gl.position(hom.apply(y)))
+            return r if tail is None else gl.op_position(r, tail)
+
+        if any(
+            gl.position(hom.apply(gu.op(x, y))) != rhs(x, y)
+            for x in gu.members
+            for y in gu.members
+        ):
+            message = f"map ({a}, {b}) is not a homomorphism of the class extensions"
+            out.append(("hom-multiplicative", message))
+    for a, b in sorted(homs):
+        for c in range(system.quotient.size):
+            if (b, c) in homs and (a, c) in homs:
+                upper, lower, direct = homs[(a, b)], homs[(b, c)], homs[(a, c)]
+                if any(lower.apply(upper.apply(x)) != direct.apply(x) for x, _ in direct.mapping):
+                    message = f"maps along {a} >= {b} >= {c} do not compose coherently"
+                    out.append(("hom-composition", message))
+    return out

@@ -1,8 +1,11 @@
 import hashlib
-import importlib
+import importlib.util
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -339,3 +342,44 @@ def test_output_flag_writes_file(capsys, tmp_path):
     code, out, _ = run(capsys, "check", F2_PATH, "--report", "json", "-o", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["reducible"] is True
+
+
+def test_memory_error_is_one_line_exit_2():
+    # multiset_index asks numpy for 3**22 ranks (234 GiB); under a 3 GiB
+    # address-space limit, set in the child alone, the allocation fails
+    resource = pytest.importorskip("resource")
+
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(hard, 3 * 2**30)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "narybands.cli", "enumerate", "--size", "3", "--arity", "22",
+         "--count-only"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "allocate" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_benchmark_stage_names_exist():
+    # perfbench/tracing.py rebinds every function its STAGES table names,
+    # each in the module named by the stage; a renamed or removed function
+    # would fail every traced benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for stage, names in tracing.STAGES.items():
+        module = importlib.import_module(f"narybands.{stage.split('.')[0]}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{stage}: {module.__name__}.{name}"

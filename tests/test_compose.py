@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -11,7 +12,6 @@ from narybands import (
     ConsistencyError,
     DomainError,
     GroupSpec,
-    HomMap,
     InputError,
     OpTable,
     QuotientSemilattice,
@@ -226,11 +226,9 @@ def test_compose_verify_rejects_broken_system():
         return 4 + p
 
     system = decompose(table_from_function(3, 6, op))
-    broken_map = dict(system.homs)
-    broken_map[(0, 1)] = HomMap(0, 1, {0: 4, 1: 5, 2: 4, 3: 4})
-    broken = type(system)(
-        system.arity, system.partition, system.quotient, system.groups, broken_map
-    )
+    image = list(system.image)  # two classes: x's image in class 1 at 2 * x + 1
+    image[1:9:2] = [4, 5, 4, 4]
+    broken = dataclasses.replace(system, image=image)
     with pytest.raises(DomainError):
         compose(broken)
     out = compose(broken, verify=False)

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from narybands import (
     ClassGroup,
@@ -31,7 +34,7 @@ from narybands import (
     validate_system,
 )
 
-from references import group_law_violations_reference
+from references import group_law_violations_reference, hom_violations_reference
 
 
 def cyclic(k):
@@ -191,12 +194,19 @@ def test_rerouted_trivial_hom_is_another_valid_system(f1):
     # any map out of a one-element class is a connecting hom, so rerouting
     # it yields a different but still valid system
     system = decompose(f1)
-    rerouted = dict(system.homs)
-    rerouted[(0, 2)] = HomMap(0, 2, {0: 2})
-    other = type(system)(
-        system.arity, system.partition, system.quotient, system.groups, rerouted
-    )
+    assert system.homs[(0, 2)].apply(0) == 3
+    other = with_images(system, {(0, 2): 2})
+    assert other.homs[(0, 2)].apply(0) == 2
     assert validate_system(other) == []
+
+
+def with_images(system, cells):
+    """system with image[x * k + c] set to y for each (x, c): y in cells."""
+    k = system.partition.size
+    image = list(system.image)
+    for (x, c), y in cells.items():
+        image[x * k + c] = y
+    return dataclasses.replace(system, image=image)
 
 
 def k4_over_z2():
@@ -216,12 +226,8 @@ def k4_over_z2():
 
 def test_validate_system_catches_bad_multiplicativity():
     system = decompose(k4_over_z2())
-    broken_map = dict(system.homs)
     # 16 maps K4 -> Z2 but only 8 shifted homs; this one is not among them
-    broken_map[(0, 1)] = HomMap(0, 1, {0: 4, 1: 5, 2: 4, 3: 4})
-    broken = type(system)(
-        system.arity, system.partition, system.quotient, system.groups, broken_map
-    )
+    broken = with_images(system, {(0, 1): 4, (1, 1): 5, (2, 1): 4, (3, 1): 4})
     codes = {v.code for v in validate_system(broken)}
     assert codes == {"hom-multiplicative"}
 
@@ -236,11 +242,7 @@ def test_validate_system_catches_bad_composition(catalog_n3):
         if not {(0, 1), (1, 2), (0, 2)} <= set(system.homs):
             continue
         old = system.homs[(0, 2)].apply(0)
-        broken_map = dict(system.homs)
-        broken_map[(0, 2)] = HomMap(0, 2, {0: 2 if old == 3 else 3})
-        broken = type(system)(
-            system.arity, system.partition, system.quotient, system.groups, broken_map
-        )
+        broken = with_images(system, {(0, 2): 2 if old == 3 else 3})
         codes = {v.code for v in validate_system(broken)}
         assert codes == {"hom-composition"}
         break
@@ -270,26 +272,82 @@ def test_system_round_trip_bit_exact(f1, f2, min3, xor3):
         assert system_to_json(back, labels) == text
 
 
-def test_system_doc_rejects_malformed(f1):
-    good = system_to_doc(decompose(f1))
-    cases = [
-        lambda d: d.pop("meet"),
-        lambda d: d.update(arity=1),
-        lambda d: d.update(classes=[[0], [1, 2], [3]]),
-        lambda d: d.update(classes=[[0], [1], [2], [3]]),
-        lambda d: d.__setitem__("meet", [[0, 2], [2, 1]]),
-        lambda d: d["groups"].pop(),
-        lambda d: d["groups"][2].update(neutral=0),
-        lambda d: d["groups"][2].update(cayley=[[2, 0], [3, 2]]),
-        lambda d: d["homs"].pop(),
-        lambda d: d["homs"][1].update(map={"0": 0}),
-        lambda d: d["homs"][1]["map"].update({"9": 2}),
-    ]
-    for mutate in cases:
-        doc = json.loads(json.dumps(good))
-        mutate(doc)
-        with pytest.raises((InputError, ConsistencyError)):
-            system_from_doc(doc)
+@pytest.mark.parametrize(
+    "mutate, error, fragment",
+    [
+        (lambda d: d.pop("meet"), InputError, "missing keys: ['meet']"),
+        (lambda d: d.update(arity=1), InputError, "arity must be an integer >= 2"),
+        (
+            lambda d: d.update(classes=[[0], [1, 2], [3]]),
+            InputError,
+            "cayley for class 1 must be 2x2",
+        ),
+        (lambda d: d.update(classes=[[0], [1], [2], [3]]), InputError, "meet must be a 4x4 table"),
+        (lambda d: d.update(meet=[[0, 2], [2, 1]]), InputError, "meet must be a 3x3 table"),
+        (lambda d: d["groups"].pop(), InputError, "groups must list one entry per class (3)"),
+        (lambda d: d["groups"][2].update(neutral=0), InputError, "neutral 0 is outside class 2"),
+        (
+            lambda d: d["groups"][2].update(cayley=[[2, 0], [3, 2]]),
+            InputError,
+            "cayley entry 0 is outside class 2",
+        ),
+        (
+            lambda d: d["homs"].pop(),
+            InputError,
+            "homs must cover exactly the comparable class pairs",
+        ),
+        (
+            lambda d: d["homs"][1].update(map={"0": 0}),
+            InputError,
+            "hom (0, 2) maps outside class 2",
+        ),
+        (
+            lambda d: d["homs"][1]["map"].update({"9": 2}),
+            InputError,
+            "hom (0, 2) domain is not exactly class 0",
+        ),
+        # a map for classes 0 and 1, which are not comparable
+        (
+            lambda d: d["homs"].append({"from": 0, "to": 1, "map": {"0": 1}}),
+            InputError,
+            "homs must cover exactly the comparable class pairs",
+        ),
+        # an image moved into another class
+        (
+            lambda d: d["homs"][1]["map"].update({"0": 1}),
+            InputError,
+            "hom (0, 2) maps outside class 2",
+        ),
+        (
+            lambda d: d.update(meet=[[0, 2, 2], [2, 1, 2], [2, 1, 2]]),
+            ConsistencyError,
+            "meet table is not commutative",
+        ),
+    ],
+    ids=[
+        "missing-meet",
+        "arity-1",
+        "class-sizes",
+        "class-count",
+        "meet-shape",
+        "missing-group",
+        "neutral-outside",
+        "cayley-outside",
+        "missing-hom",
+        "image-outside",
+        "domain",
+        "non-comparable-hom",
+        "image-moved-class",
+        "non-commutative-meet",
+    ],
+)
+def test_system_doc_rejects_malformed(f1, mutate, error, fragment):
+    doc = system_to_doc(decompose(f1))
+    mutate(doc)
+    with pytest.raises(error) as caught:
+        system_from_doc(doc)
+    assert type(caught.value) is error
+    assert fragment in str(caught.value)
 
 
 def test_system_from_doc_recomputes_signature(f1):
@@ -362,24 +420,102 @@ def test_hom_map_apply_rejects_outside_source():
         hom.apply(2)
 
 
-@pytest.mark.parametrize("m, n", [(4, 3), (4, 5), (5, 2), (5, 3)])
+def reported(system, n):
+    return [(v.code, v.message) for v in validate_system(system, n)]
+
+
+def references(system, n):
+    return group_law_violations_reference(system, n) + hom_violations_reference(system, n)
+
+
+@functools.cache
+def catalog_systems(m, n):
+    return tuple(decompose(t, verify=False) for t in enumerate_bands(m, n).entries)
+
+
+# every catalog with m <= 5 at n = 2 and 3, and with m <= 4 at n = 5
+CATALOGS = [(m, n) for n, top in ((2, 5), (3, 5), (5, 4)) for m in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("m, n", CATALOGS, ids=[f"{m}-{n}" for m, n in CATALOGS])
 def test_group_laws_match_the_reference_on_catalogs(m, n):
-    # every class group of the catalog, checked at its own arity and at
-    # others, where the exponent law can fail
+    # every decomposed system of the catalog, checked at its own arity and
+    # at others, where the exponent law and the maps' multiplicative law
+    # can fail: validate_system reports exactly what the references report
     seen = set()
-    for t in enumerate_bands(m, n).entries:
-        system = decompose(t, verify=False)
+    for system in catalog_systems(m, n):
         for arity in (2, 3, 4, 5):
-            got = [
-                (v.code, v.message)
-                for v in validate_system(system, arity)
-                if v.code.startswith("group-")
-            ]
-            assert got == group_law_violations_reference(system, arity)
-            seen.update(code for code, _ in got)
+            got = reported(system, arity)
+            assert got == references(system, arity)
+            seen.update(code for code, _ in got if code.startswith("group-"))
             if arity == n:
                 assert got == []
-    assert seen == (set() if n == 2 else {"group-exponent"})
+    assert seen == (set() if n == 2 or m == 1 else {"group-exponent"})
+
+
+def test_validate_system_matches_the_references_on_fixtures(f1, f2, min3, xor3):
+    for t in (f1, f2, min3, xor3):
+        system = decompose(t)
+        assert system.homs == hom_maps(t)
+        for arity in (2, 3, 4, 5):
+            assert reported(system, arity) == references(system, arity)
+
+
+@st.composite
+def perturbed_systems(draw):
+    """A catalog system (n > 2) with a class of two or more elements, with one
+    image cell moved to another member of its target class or one class
+    group cell changed, and an arity to check it at."""
+    m, n = draw(st.sampled_from([(m, n) for m, n in CATALOGS if m > 1 and n > 2]))
+    systems = [s for s in catalog_systems(m, n) if s.size > s.partition.size]
+    system = draw(st.sampled_from(systems))
+    k, classes = system.partition.size, system.partition.classes
+    if draw(st.booleans()):
+        cells = [
+            (x, c)
+            for x in range(m)
+            for c in range(k)
+            if system.image[x * k + c] != -1 and len(classes[c]) > 1
+        ]
+        x, c = draw(st.sampled_from(cells))
+        old = system.image[x * k + c]
+        new = draw(st.sampled_from([y for y in classes[c] if y != old]))
+        system = with_images(system, {(x, c): new})
+    else:
+        c = draw(st.sampled_from([c for c in range(k) if len(classes[c]) > 1]))
+        g = system.groups[c]
+        values = list(g.cayley.values)
+        cell = draw(st.integers(0, len(values) - 1))
+        values[cell] = draw(st.sampled_from([p for p in range(g.order) if p != values[cell]]))
+        group = dataclasses.replace(g, cayley=OpTable(2, g.order, tuple(values)))
+        groups = system.groups[:c] + (group,) + system.groups[c + 1 :]
+        system = dataclasses.replace(system, groups=groups)
+    return system, draw(st.integers(2, 5))
+
+
+@given(perturbed_systems())
+@settings(max_examples=300, deadline=None)
+def test_validate_system_matches_the_references_on_perturbations(case):
+    system, arity = case
+    assert reported(system, arity) == references(system, arity)
+
+
+def test_strong_system_checks_its_image_matrix(f1):
+    # classes (0,), (1,), (2, 3) with 0 > 2 and 1 > 2: x's row of image
+    # lists its images in classes 0, 1, 2
+    system = decompose(f1)
+    assert system.image == (0, -1, 3, -1, 1, 2, -1, -1, 2, -1, -1, 3)
+    assert hash(system) == hash(decompose(f1))
+    with pytest.raises(InputError, match="^image must have 4 x 3 cells, got 11$"):
+        dataclasses.replace(system, image=system.image[:-1])
+    with pytest.raises(InputError, match="^homs must cover exactly the comparable class pairs$"):
+        with_images(system, {(0, 1): 1})  # classes 0 and 1 are not comparable
+    with pytest.raises(InputError, match="^homs must cover exactly the comparable class pairs$"):
+        with_images(system, {(0, 2): -1})
+    with pytest.raises(InputError, match=r"^hom \(0, 2\) maps outside class 2$"):
+        with_images(system, {(0, 2): 1})
+    with pytest.raises(InputError, match=r"^hom \(2, 2\) maps outside class 2$"):
+        with_images(system, {(3, 2): 4})
 
 
 def one_class_system(rows, neutral, arity):
@@ -391,7 +527,7 @@ def one_class_system(rows, neutral, arity):
         SigmaPartition((0,) * k, (members,)),
         QuotientSemilattice(OpTable(2, 1, (0,))),
         (ClassGroup(0, members, neutral, cayley, ()),),
-        {(0, 0): HomMap(0, 0, {x: x for x in members})},
+        members,
     )
 
 
