@@ -14,6 +14,7 @@ from functools import cached_property
 from .errors import ConsistencyError, InputError
 from .optable import (
     OpTable,
+    _strides,
     check_associative,
     check_idempotent,
     check_symmetric,
@@ -136,14 +137,12 @@ def associated_band(t: OpTable, verify: bool = True) -> OpTable:
     """Binary table B(x, y) = t(x, ..., x, y)."""
     if verify:
         require_band(t)
-    m, n = t.size, t.arity
+    m = t.size
+    # row x is the m cells from (x, ..., x, 0)
+    step = sum(_strides(m, t.arity)[:-1])
     values = []
     for x in range(m):
-        head = 0
-        for _ in range(n - 1):
-            head = head * m + x
-        base = head * m
-        values.extend(t.values[base : base + m])
+        values.extend(t.values[x * step : x * step + m])
     return OpTable(2, m, tuple(values))
 
 
@@ -242,17 +241,14 @@ def quotient(t: OpTable, partition: SigmaPartition):
 
 
 def classify(t: OpTable, verify: bool = True) -> Classification:
-    """Distinguish semilattice extensions (all translation rows distinct)
-    from group extensions (all rows trivial) from the general case.
+    """Distinguish semilattice extensions (every sigma class a single
+    element) from group extensions (one class) from the general case.
 
     A one-element table is reported as a group extension.
     """
-    lam = lambda_table(t, verify=verify)
-    if t.size == 1:
+    k = sigma_partition(t, verify=verify).size
+    if k == 1:
         return Classification.GROUP_EXTENSION
-    identity = tuple(range(t.size))
-    if all(row == identity for row in lam.rows):
-        return Classification.GROUP_EXTENSION
-    if len(set(lam.rows)) == t.size:
+    if k == t.size:
         return Classification.SEMILATTICE_EXTENSION
     return Classification.GENERAL

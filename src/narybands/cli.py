@@ -11,7 +11,6 @@ a non-band run with --no-verify raises, and that input fails the property.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import (
@@ -21,9 +20,7 @@ from .errors import (
     ResourceError,
 )
 from .optable import (
-    AssociativityWitness,
     OpTable,
-    SymmetryWitness,
     _band_laws,
     _canonical_forms,
     _orbit_rows_to_json,
@@ -35,7 +32,6 @@ from .bandcore import classify
 from .structure import decompose, system_from_json, system_to_json
 from .compose import brute_force_bands, compose, enumerate_bands
 from .reduce import (
-    Irreducible,
     Reduction,
     brute_force_reductions,
     decide_reducible,
@@ -43,143 +39,77 @@ from .reduce import (
 )
 
 
-@dataclass
-class AnalysisReport:
-    """Everything cmd_check reports about one table."""
-
-    size: int
-    arity: int
-    associative: AssociativityWitness | None
-    symmetric: SymmetryWitness | None
-    idempotent: int | None
-    classification: str | None = None
-    classes: tuple[tuple[int, ...], ...] | None = None
-    meet: tuple[tuple[int, ...], ...] | None = None
-    groups: tuple[tuple[int, int, tuple[int, ...]], ...] | None = None
-    reducible: bool | None = None
-    selection: tuple[int, ...] | None = None
-    witness: Irreducible | None = None
-
-    @property
-    def is_band(self) -> bool:
-        return self.associative is None and self.symmetric is None and self.idempotent is None
+def _witness_doc(witness) -> dict:
+    if isinstance(witness, int):
+        return {"element": witness}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in witness._asdict().items()}
 
 
-def analyze(t: OpTable) -> AnalysisReport:
-    """Axioms first; the structural fields only when all three hold."""
-    report = AnalysisReport(t.size, t.arity, *(witness for _, witness in _band_laws(t)))
-    if not report.is_band:
-        return report
-    report.classification = classify(t, verify=False).value
-    system = decompose(t, verify=False)
-    report.classes = system.partition.classes
-    k = system.quotient.size
-    report.meet = tuple(
-        tuple(system.quotient.meet_of(a, b) for b in range(k)) for a in range(k)
-    )
-    report.groups = tuple(
-        (g.class_index, g.neutral, g.factor_signature) for g in system.groups
-    )
-    outcome = decide_reducible(system, verify=False)
-    if isinstance(outcome, Reduction):
-        report.reducible = True
-        report.selection = outcome.selection.by_class
-    else:
-        report.reducible = False
-        report.witness = outcome
-    return report
-
-
-def report_to_doc(report: AnalysisReport) -> dict:
+def analyze(t: OpTable) -> dict:
+    """The check report as a JSON-ready document: the axioms, with a witness
+    for each failing law, and the structure only when all three hold."""
+    laws = _band_laws(t)
     doc = {
-        "size": report.size,
-        "arity": report.arity,
-        "axioms": {
-            "associative": report.associative is None,
-            "symmetric": report.symmetric is None,
-            "idempotent": report.idempotent is None,
-        },
+        "size": t.size,
+        "arity": t.arity,
+        "axioms": {law: witness is None for law, witness in laws},
     }
-    witnesses = {}
-    if report.associative is not None:
-        witnesses["associative"] = {
-            "args": list(report.associative.args),
-            "position": report.associative.position,
-        }
-    if report.symmetric is not None:
-        witnesses["symmetric"] = {
-            "args": list(report.symmetric.args),
-            "swapped": list(report.symmetric.swapped),
-        }
-    if report.idempotent is not None:
-        witnesses["idempotent"] = {"element": report.idempotent}
+    witnesses = {law: _witness_doc(witness) for law, witness in laws if witness is not None}
     if witnesses:
         doc["witnesses"] = witnesses
-    if not report.is_band:
         return doc
-    doc["classification"] = report.classification
-    doc["classes"] = [list(c) for c in report.classes]
-    doc["meet"] = [list(row) for row in report.meet]
+    doc["classification"] = classify(t, verify=False).value
+    system = decompose(t, verify=False)
+    k = system.quotient.size
+    meet = system.quotient.meet.values
+    doc["classes"] = [list(c) for c in system.partition.classes]
+    doc["meet"] = [list(meet[a * k : (a + 1) * k]) for a in range(k)]
     doc["groups"] = [
-        {"class": c, "neutral": e, "signature": list(sig)} for c, e, sig in report.groups
+        {"class": g.class_index, "neutral": g.neutral, "signature": list(g.factor_signature)}
+        for g in system.groups
     ]
-    doc["reducible"] = report.reducible
-    if report.reducible:
-        doc["selection"] = {str(c): e for c, e in enumerate(report.selection)}
-    else:
-        doc["witness"] = {
-            "class": report.witness.witness_class,
-            "images": list(report.witness.conflicting_images),
-            "sources": [list(p) for p in report.witness.sources],
-        }
+    outcome = reduction_result_to_doc(decide_reducible(system, verify=False))
+    outcome.pop("table", None)
+    doc.update(outcome)
     return doc
 
 
-def report_to_text(report: AnalysisReport, labels) -> str:
-    def name(x):
-        return labels[x]
+def report_to_text(doc: dict, labels) -> str:
+    """The text report of an analyze document, elements shown by label."""
 
-    lines = [f"table: {report.size} elements, arity {report.arity}"]
-    if report.associative is None:
-        lines.append("associative: pass")
-    else:
-        args = " ".join(name(a) for a in report.associative.args)
-        lines.append(
-            f"associative: FAIL on ({args}), nestings {report.associative.position} "
-            f"and {report.associative.position + 1} differ"
-        )
-    if report.symmetric is None:
-        lines.append("symmetric: pass")
-    else:
-        left = " ".join(name(a) for a in report.symmetric.args)
-        right = " ".join(name(a) for a in report.symmetric.swapped)
-        lines.append(f"symmetric: FAIL on ({left}) vs ({right})")
-    if report.idempotent is None:
-        lines.append("idempotent: pass")
-    else:
-        lines.append(f"idempotent: FAIL at {name(report.idempotent)}")
-    if not report.is_band:
+    def names(xs, sep=" "):
+        return sep.join(labels[x] for x in xs)
+
+    failures = {
+        "associative": lambda w: f"FAIL on ({names(w['args'])}), nestings {w['position']} "
+        f"and {w['position'] + 1} differ",
+        "symmetric": lambda w: f"FAIL on ({names(w['args'])}) vs ({names(w['swapped'])})",
+        "idempotent": lambda w: f"FAIL at {labels[w['element']]}",
+    }
+    lines = [f"table: {doc['size']} elements, arity {doc['arity']}"]
+    for law, holds in doc["axioms"].items():
+        lines.append(f"{law}: " + ("pass" if holds else failures[law](doc["witnesses"][law])))
+    if "witnesses" in doc:
         return "\n".join(lines)
-    lines.append(f"classification: {report.classification}")
-    shown = " ".join(
-        "[%d]={%s}" % (i, ",".join(name(x) for x in c)) for i, c in enumerate(report.classes)
-    )
+    lines.append(f"classification: {doc['classification']}")
+    shown = " ".join(f"[{i}]={{{names(c, ',')}}}" for i, c in enumerate(doc["classes"]))
     lines.append(f"classes: {shown}")
-    for i, row in enumerate(report.meet):
+    for i, row in enumerate(doc["meet"]):
         lines.append(f"meet[{i}]: " + " ".join(str(v) for v in row))
-    for c, e, sig in report.groups:
-        desc = "trivial" if not sig else "x".join(str(d) for d in sig)
-        lines.append(f"group[{c}]: {desc} (neutral {name(e)})")
-    if report.reducible:
-        sel = " ".join(f"[{c}]={name(e)}" for c, e in enumerate(report.selection))
+    for g in doc["groups"]:
+        desc = "x".join(str(d) for d in g["signature"]) or "trivial"
+        lines.append(f"group[{g['class']}]: {desc} (neutral {labels[g['neutral']]})")
+    if doc["reducible"]:
+        sel = " ".join(f"[{c}]={labels[e]}" for c, e in doc["selection"].items())
         lines.append("reducible: yes")
         lines.append(f"selection: {sel}")
     else:
-        w = report.witness
-        images = ",".join(name(x) for x in w.conflicting_images)
-        sources = ", ".join(f"[{c}] chose {name(e)}" for c, e in w.sources)
+        w = doc["witness"]
+        sources = ", ".join(f"[{c}] chose {labels[e]}" for c, e in w["sources"])
         lines.append("reducible: no")
-        lines.append(f"conflict: class [{w.witness_class}] forced images {{{images}}} by {sources}")
+        lines.append(
+            f"conflict: class [{w['class']}] forced images {{{names(w['images'], ',')}}} by {sources}"
+        )
     return "\n".join(lines)
 
 
@@ -208,12 +138,9 @@ def _dumps(doc) -> str:
 
 def cmd_check(args) -> int:
     t, labels = _load_table(args.file)
-    report = analyze(t)
-    if args.report == "json":
-        _emit(_dumps(report_to_doc(report)), args.output)
-    else:
-        _emit(report_to_text(report, labels), args.output)
-    return 0 if report.is_band else 1
+    doc = analyze(t)
+    _emit(_dumps(doc) if args.report == "json" else report_to_text(doc, labels), args.output)
+    return 1 if "witnesses" in doc else 0
 
 
 def cmd_decompose(args) -> int:

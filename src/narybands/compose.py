@@ -69,23 +69,15 @@ def make_group(spec: GroupSpec, arity: int) -> OpTable:
     for f in spec.factors:
         if (arity - 1) % f != 0:
             raise InputError(f"cyclic factor {f} does not divide {arity - 1}")
-    k = spec.order
-    factors = spec.factors
-    values = []
-    for x in range(k):
-        for y in range(k):
-            # digit-wise sum, first factor most significant
-            rx, ry = x, y
-            digits = []
-            for f in reversed(factors):
-                digits.append((rx % f + ry % f) % f)
-                rx //= f
-                ry //= f
-            code = 0
-            for f, d in zip(factors, reversed(digits)):
-                code = code * f + d
-            values.append(code)
-    return OpTable(2, k, tuple(values))
+    elements = np.arange(spec.order)
+    values = np.zeros((spec.order, spec.order), dtype=np.intp)
+    # digit-wise sum, last factor least significant
+    weight = 1
+    for f in reversed(spec.factors):
+        digit = elements // weight % f
+        values += (digit[:, None] + digit) % f * weight
+        weight *= f
+    return OpTable(2, spec.order, tuple(values.ravel().tolist()))
 
 
 def group_homs(g1: OpTable, g2: OpTable) -> tuple[tuple[int, ...], ...]:
@@ -197,7 +189,9 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
     free = math.comb(m + n - 1, n) - m
-    if max(free * math.comb(m + n - 2, n - 1), m**n) > max_candidates:
+    # as in OpTable, a huge m**n is known to pass the budget without computing it
+    wide = m > 1 and n >= max_candidates.bit_length()
+    if wide or max(free * math.comb(m + n - 2, n - 1), m**n) > max_candidates:
         raise ResourceError(
             f"searching {free} multisets of {m}**{n}-cell tables exceeds budget {max_candidates}"
         )

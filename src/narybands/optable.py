@@ -74,7 +74,10 @@ class OpTable:
             raise InputError(f"size must be an integer >= 1, got {self.size!r}")
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        if len(vals) != self.size**self.arity:
+        # for size >= 2, an arity of len(vals).bit_length() or more makes
+        # size**arity exceed len(vals); compare first, as the power is huge
+        overshoots = self.size > 1 and self.arity >= len(vals).bit_length()
+        if overshoots or len(vals) != self.size**self.arity:
             raise InputError(
                 f"values has length {len(vals)}, expected {self.size}**{self.arity}"
             )
@@ -314,7 +317,7 @@ def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTab
         raise InputError(f"extension count must be a positive integer, got {times!r}")
     m, n = t.size, t.arity
     out_arity = times * (n - 1) + 1
-    if m > 1 and m**out_arity > max_cells:
+    if m > 1 and (out_arity >= max_cells.bit_length() or m**out_arity > max_cells):
         raise ResourceError(
             f"extension table would need {m}**{out_arity} cells (budget {max_cells})"
         )
@@ -328,20 +331,12 @@ def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTab
 
 def neutral_elements(t: OpTable) -> frozenset[int]:
     """Elements e with t(e, ..., e, x, e, ..., e) = x for x in every slot."""
-    m, n = t.size, t.arity
-    values = t.values
-    strides = _strides(m, n)
-    e_all = sum(strides)
-    out = []
-    for e in range(m):
-        base = e * e_all
-        if all(
-            values[base + (x - e) * strides[slot]] == x
-            for slot in range(n)
-            for x in range(m)
-        ):
-            out.append(e)
-    return frozenset(out)
+    strides = np.asarray(_strides(t.size, t.arity), dtype=np.intp)[:, None]
+    values = np.asarray(t.values, dtype=np.intp)
+    xs = np.arange(t.size)
+    # row k, column x: the cell of (e, ..., e, x, e, ..., e), x at slot k
+    rest = strides.sum() - strides
+    return frozenset(e for e in range(t.size) if (values[e * rest + xs * strides] == xs).all())
 
 
 def relabel(t: OpTable, perm: Sequence[int]) -> OpTable:

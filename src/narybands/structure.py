@@ -26,6 +26,7 @@ from .bandcore import (
 from .optable import (
     OpTable,
     _multiset_args,
+    _strides,
     check_associative,
     check_symmetric,
     require_band,
@@ -193,11 +194,13 @@ def class_group(t: OpTable, members, e: int | None = None, index: int = 0) -> Cl
         raise InputError(f"neutral candidate {e} is not a member")
     k = len(members)
     pos = {x: i for i, x in enumerate(members)}
-    mid = [e] * (t.arity - 2)
+    strides = _strides(t.size, t.arity)
+    mid = e * sum(strides[1:-1])
     values = []
     for x in members:
+        row = x * strides[0] + mid
         for y in members:
-            v = t.eval((x, *mid, y))
+            v = t.values[row + y]
             if v not in pos:
                 raise ConsistencyError(f"class is not closed: ({x}, {y}) -> {v}")
             values.append(pos[v])

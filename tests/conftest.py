@@ -1,9 +1,16 @@
 import functools
 import itertools
+import random
 
 import pytest
 
-from narybands import OpTable, brute_force_bands, enumerate_bands, table_from_function
+from narybands import (
+    NaryBandError,
+    OpTable,
+    brute_force_bands,
+    enumerate_bands,
+    table_from_function,
+)
 
 # The two 4-element ternary bands used as golden data throughout, stored by
 # sorted argument multiset.  Both share the diagonal and the classes {0},{1},
@@ -88,3 +95,42 @@ def catalog_n2():
 def oracle():
     """brute_force_bands, run once per (size, arity) in a session."""
     return functools.cache(brute_force_bands)
+
+
+@pytest.fixture(scope="session")
+def catalog_tables(catalog_n2, catalog_n3):
+    """Every band of the (m <= 4, n = 2 and 3), (3, 4) and (4, 5) catalogs."""
+    tables = [t for catalog in (catalog_n2, catalog_n3) for ts in catalog.values() for t in ts]
+    return tables + list(enumerate_bands(3, 4).entries) + list(enumerate_bands(4, 5).entries)
+
+
+def perturbed(tables, seed):
+    """Each table with one cell moved to another value, chosen by a seeded
+    generator; a one-element table, which has no other value, as it is."""
+    rng = random.Random(seed)
+    out = []
+    for t in tables:
+        values = list(t.values)
+        if t.size > 1:
+            i = rng.randrange(len(values))
+            values[i] = rng.choice([v for v in range(t.size) if v != values[i]])
+        out.append(OpTable(t.arity, t.size, tuple(values)))
+    return out
+
+
+def random_tables(seed, count):
+    """count tables of uniform random values, m <= 4 and 2 <= n <= 4."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, 4), rng.randint(2, 4)
+        out.append(OpTable(n, m, tuple(rng.randrange(m) for _ in range(m**n))))
+    return out
+
+
+def outcome(f, *args, **kwargs):
+    """f's result, or the type and message of the NaryBandError it raises."""
+    try:
+        return f(*args, **kwargs)
+    except NaryBandError as exc:
+        return type(exc), str(exc)

@@ -2,10 +2,23 @@
 them: each computes its result its own way, and the tests compare."""
 
 import itertools
+import math
 
 import numpy as np
 
-from narybands import AssociativityWitness, OpTable, check_associative, extend
+from narybands import (
+    AssociativityWitness,
+    ClassGroup,
+    Classification,
+    ConsistencyError,
+    InputError,
+    OpTable,
+    check_associative,
+    extend,
+    invariant_factors,
+    lambda_table,
+)
+from narybands.structure import _failed_group_laws
 
 
 def covers_reference(q):
@@ -169,3 +182,88 @@ def hom_violations_reference(system, n):
                     message = f"maps along {a} >= {b} >= {c} do not compose coherently"
                     out.append(("hom-composition", message))
     return out
+
+
+def make_group_reference(factors, order):
+    """make_group's values cell by cell: digit-wise sums, first factor most
+    significant, without the arity checks."""
+    values = []
+    for x in range(order):
+        for y in range(order):
+            rx, ry = x, y
+            digits = []
+            for f in reversed(factors):
+                digits.append((rx % f + ry % f) % f)
+                rx //= f
+                ry //= f
+            code = 0
+            for f, d in zip(factors, reversed(digits)):
+                code = code * f + d
+            values.append(code)
+    return OpTable(2, order, tuple(values))
+
+
+def associated_band_reference(t):
+    """associated_band without its band check: row x read from the code
+    of (x, ..., x, 0), built digit by digit."""
+    m, n = t.size, t.arity
+    values = []
+    for x in range(m):
+        head = 0
+        for _ in range(n - 1):
+            head = head * m + x
+        base = head * m
+        values.extend(t.values[base : base + m])
+    return OpTable(2, m, tuple(values))
+
+
+def neutral_elements_reference(t):
+    """neutral_elements cell by cell: e such that every slot of
+    (e, ..., e, x, e, ..., e) gives x back."""
+    m, n = t.size, t.arity
+    return frozenset(
+        e
+        for e in range(m)
+        if all(t.eval((e,) * slot + (x,) + (e,) * (n - 1 - slot)) == x for slot in range(n) for x in range(m))
+    )
+
+
+def class_group_reference(t, members, e=None, index=0):
+    """class_group reading each cell t(x, e, ..., e, y) through t.eval, the
+    checks after the cell reads shared with the library."""
+    members = tuple(sorted(members))
+    if e is None:
+        e = members[0]
+    if e not in members:
+        raise InputError(f"neutral candidate {e} is not a member")
+    pos = {x: i for i, x in enumerate(members)}
+    mid = [e] * (t.arity - 2)
+    values = []
+    for x in members:
+        for y in members:
+            v = t.eval((x, *mid, y))
+            if v not in pos:
+                raise ConsistencyError(f"class is not closed: ({x}, {y}) -> {v}")
+            values.append(pos[v])
+    cayley = OpTable(2, len(members), tuple(values))
+    failed = next(_failed_group_laws(cayley, pos[e], t.arity), None)
+    if failed is not None:
+        raise ConsistencyError(f"class {index}: {failed[1]}")
+    sig = invariant_factors(cayley, pos[e])
+    if math.prod(sig) != len(members) or any((t.arity - 1) % d != 0 for d in sig):
+        raise ConsistencyError(f"factor signature {sig} inconsistent with class of order {len(members)}")
+    return ClassGroup(index, members, e, cayley, sig)
+
+
+def classify_reference(t, verify=True):
+    """classify by comparing translation rows: all identity is a group
+    extension, all distinct a semilattice extension."""
+    lam = lambda_table(t, verify=verify)
+    if t.size == 1:
+        return Classification.GROUP_EXTENSION
+    identity = tuple(range(t.size))
+    if all(row == identity for row in lam.rows):
+        return Classification.GROUP_EXTENSION
+    if len(set(lam.rows)) == t.size:
+        return Classification.SEMILATTICE_EXTENSION
+    return Classification.GENERAL

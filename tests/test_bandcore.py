@@ -21,6 +21,9 @@ from narybands import (
     table_from_function,
 )
 
+from conftest import outcome, perturbed, random_tables
+from references import associated_band_reference, classify_reference
+
 F1_B_ROWS = ((0, 2, 2, 3), (3, 1, 2, 3), (3, 2, 2, 3), (3, 2, 2, 3))
 F2_B_ROWS = ((0, 3, 2, 3), (3, 1, 2, 3), (3, 3, 2, 3), (3, 3, 2, 3))
 
@@ -45,6 +48,12 @@ def test_associated_band_definition(f1):
 def test_associated_band_of_extension_is_base(catalog_n2):
     for t in catalog_n2[3]:
         assert associated_band(extend(t, 2)).values == t.values
+
+
+def test_associated_band_matches_the_reference(catalog_tables):
+    tables = catalog_tables + perturbed(catalog_tables, 21) + random_tables(22, 300)
+    for t in tables:
+        assert associated_band(t, verify=False) == associated_band_reference(t)
 
 
 def test_lambda_rows_are_band_rows(f2):
@@ -173,3 +182,15 @@ def test_semilattice_extension_is_extension_of_band(catalog_n3):
         for t in catalog_n3[m]:
             if classify(t) is Classification.SEMILATTICE_EXTENSION:
                 assert extend(associated_band(t), 2).values == t.values
+
+
+def test_classify_matches_the_row_comparisons(catalog_tables):
+    # the sigma partition against the translation rows: equal on every
+    # table whose rows pass LambdaTable's checks, the same error otherwise
+    tables = catalog_tables + perturbed(catalog_tables, 31) + random_tables(32, 300)
+    passing = 0
+    for t in tables:
+        got = outcome(classify, t, verify=False)
+        assert got == outcome(classify_reference, t, verify=False)
+        passing += isinstance(got, Classification)
+    assert passing > len(catalog_tables)

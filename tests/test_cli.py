@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,49 @@ def test_enumerate_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+CHECK_INPUTS = {
+    **{path.stem: json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))},
+    # one failing law each, with labels other than the defaults
+    "not-associative": {"arity": 3, "elements": ["lo", "hi"], "values": [0, 0, 0, 1, 0, 1, 1, 1]},
+    "not-symmetric": {"arity": 2, "elements": ["p", "q"], "values": [0, 0, 1, 1]},
+    "not-idempotent": {"arity": 3, "elements": ["x", "y"], "values": [0] * 8},
+    "one-element-arity-64": {"arity": 64, "elements": ["a"], "values": [0]},
+}
+
+
+@pytest.mark.parametrize(
+    "name, report, want, digest",
+    [
+        ("irreducible4", "text", 0, "3a07437a23ef3443"),
+        ("irreducible4", "json", 0, "bc431924aa3020b8"),
+        ("majority2", "text", 1, "be2b134f9f624686"),
+        ("majority2", "json", 1, "165c88bce4a0cd5b"),
+        ("reducible4", "text", 0, "4b70244e61f19133"),
+        ("reducible4", "json", 0, "77902db6edbb04de"),
+        ("tmin3", "text", 0, "d5d0c658174bcb50"),
+        ("tmin3", "json", 0, "164a1e4861099f69"),
+        ("txor2", "text", 0, "b70cf9893891ad37"),
+        ("txor2", "json", 0, "ff9737914585d42d"),
+        ("not-associative", "text", 1, "28ef83b596c4c234"),
+        ("not-associative", "json", 1, "165c88bce4a0cd5b"),
+        ("not-symmetric", "text", 1, "e1fb01c7b670fd2b"),
+        ("not-symmetric", "json", 1, "9cca6f679b7f66f6"),
+        ("not-idempotent", "text", 1, "75142efd93181038"),
+        ("not-idempotent", "json", 1, "a6cde5c719d793f5"),
+        ("one-element-arity-64", "text", 0, "0b786e2e877ada0c"),
+        ("one-element-arity-64", "json", 0, "4769ab798bc98b99"),
+    ],
+)
+def test_check_output_is_pinned(capsys, tmp_path, name, report, want, digest):
+    # the first 16 hex digits of the SHA-256 of stdout pin every line of
+    # both report formats
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(CHECK_INPUTS[name]))
+    code, out, err = run(capsys, "check", str(path), "--report", report)
+    assert (code, err) == (want, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_check_one_element_arity_64(capsys, tmp_path):
     # 64 argument axes plus one would pass numpy's 64-dimension limit
     path = tmp_path / "one.json"
@@ -201,6 +245,37 @@ def test_oracle_bands_budget(capsys):
     code, out, err = run(capsys, "oracle", "bands", "--size", "6", "--arity", "3")
     assert code == 2 and out == ""
     assert err == "error: band search passed the budget of 2097152 nodes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("check", "huge"), "values has length 1, expected 2**1000000000"),
+        (("oracle", "reductions", "huge"), "values has length 1, expected 2**1000000000"),
+        (
+            ("extend", "binary", "--arity", "1000000001"),
+            "extension table would need 2**1000000001 cells (budget 268435456)",
+        ),
+        (
+            ("oracle", "bands", "--size", "2", "--arity", "1000000000"),
+            "searching 999999999 multisets of 2**1000000000-cell tables exceeds budget 2097152",
+        ),
+    ],
+    ids=["check", "oracle-reductions", "extend", "oracle-bands"],
+)
+def test_huge_arity_is_refused_at_once(capsys, tmp_path, argv, error):
+    # 2**1000000000 has a billion bits: each check must refuse without it
+    docs = {
+        "huge": {"arity": 10**9, "elements": ["a", "b"], "values": [0]},
+        "binary": {"arity": 2, "elements": ["a", "b"], "values": [0, 0, 0, 1]},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a}.json") if a in docs else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_oracle_reductions(capsys):

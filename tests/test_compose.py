@@ -35,7 +35,7 @@ from narybands import (
 )
 
 from conftest import relabel_cells
-from references import covers_reference, hom_steps_reference
+from references import covers_reference, hom_steps_reference, make_group_reference
 
 # the package re-exports the function compose under the module's name
 compose_module = importlib.import_module("narybands.compose")
@@ -128,6 +128,16 @@ def test_make_group_digit_order():
     assert g.eval((4, 5)) == 0
     assert g.eval((1, 2)) == 0
     assert g.eval((3, 1)) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9, 13, 17, 25, 33])
+def test_make_group_matches_the_reference(n):
+    # every factor list whose factors divide n - 1, several per group type
+    for order in range(1, 33):
+        for factors in factor_multisets_reference(order, n - 1):
+            got = make_group(GroupSpec(order, factors), n)
+            assert got == make_group_reference(factors, order)
+            assert {type(v) for v in got.values} == {int}
 
 
 def test_make_group_validates():

@@ -37,8 +37,8 @@ from narybands import (
 )
 from narybands.errors import DomainError
 
-from conftest import relabel_cells
-from references import assoc_witness_reference
+from conftest import perturbed, random_tables, relabel_cells
+from references import assoc_witness_reference, neutral_elements_reference
 
 optable_module = importlib.import_module("narybands.optable")
 
@@ -356,6 +356,13 @@ def test_neutral_elements():
     assert neutral_elements(base) == frozenset({2})
     both = table_from_function(2, 2, lambda x, y: x ^ y)
     assert neutral_elements(both) == frozenset({0})
+
+
+def test_neutral_elements_matches_the_reference(catalog_tables):
+    tables = catalog_tables + perturbed(catalog_tables, 11) + random_tables(12, 300)
+    found = [neutral_elements(t) for t in tables]
+    assert found == [neutral_elements_reference(t) for t in tables]
+    assert sum(map(bool, found)) > len(catalog_tables) // 10
 
 
 @given(any_tables(), st.randoms(use_true_random=False))

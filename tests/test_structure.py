@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -34,7 +35,12 @@ from narybands import (
     validate_system,
 )
 
-from references import group_law_violations_reference, hom_violations_reference
+from conftest import outcome, perturbed, random_tables
+from references import (
+    class_group_reference,
+    group_law_violations_reference,
+    hom_violations_reference,
+)
 
 
 def cyclic(k):
@@ -95,6 +101,26 @@ def test_class_group_golden(f1, f2):
         assert g.neutral == 2
         assert g.factor_signature == (2,)
         assert g.cayley.values == (0, 1, 1, 0)
+
+
+def test_class_group_matches_the_reference(catalog_tables):
+    # each class of each band with each neutral, the same classes on a
+    # one-cell perturbation of the band, and random member sets of random
+    # tables: the same group, or the same error
+    cases = []
+    for t, near in zip(catalog_tables, perturbed(catalog_tables, 41)):
+        for i, members in enumerate(sigma_partition(t).classes):
+            cases += [(t, members, e, i) for e in members] + [(near, members, members[-1], i)]
+    rng = random.Random(42)
+    for t in random_tables(43, 300):
+        members = rng.sample(range(t.size), rng.randint(1, t.size))
+        cases.append((t, members, rng.choice(members), 0))
+    kinds = set()
+    for case in cases:
+        got = outcome(class_group, *case)
+        assert got == outcome(class_group_reference, *case)
+        kinds.add(got[1].split(":")[0] if isinstance(got, tuple) else "group")
+    assert {"group", "class is not closed"} < kinds
 
 
 def test_class_group_neutral_choice_is_immaterial(f1):
