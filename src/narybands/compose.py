@@ -19,6 +19,7 @@ from .optable import (
     OpTable,
     _canonical_forms,
     _canonical_orbits,
+    _index_cells,
     symmetric_table,
 )
 from .structure import StrongSystem, _compose_orbits, _compose_system, require_valid_system
@@ -396,6 +397,8 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
     n = system.arity if arity is None else arity
     if not isinstance(n, int) or n < 2:
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
+    # refuse an unindexable arity before the group checks' n - 2 steps per class
+    _index_cells(system.size, n)
     if verify:
         require_valid_system(system, n)
     return _compose_system(system, n, [v for g in system.groups for v in g.cayley.values])

@@ -217,13 +217,23 @@ def _digits(size: int, arity: int) -> "np.ndarray":
     return digits
 
 
+def _index_cells(size: int, arity: int) -> int:
+    """size**arity, or ResourceError past the largest np.intp index (for
+    size >= 2 an arity of its bit length or more passes it, as in OpTable)."""
+    limit = np.iinfo(np.intp).max
+    if size > 1 and (arity >= limit.bit_length() or size**arity > limit):
+        raise ResourceError(f"an index of {size}**{arity} argument tuples passes the array limit")
+    return size**arity
+
+
 @lru_cache(maxsize=64)
 def multiset_index(size: int, arity: int) -> MultisetIndex:
     """The MultisetIndex of tables of this size and arity, built on first use."""
+    cells = _index_cells(size, arity)
     multisets = tuple(itertools.combinations_with_replacement(range(size), arity))
     strides = np.asarray(_strides(size, arity), dtype=np.intp)
     rep_codes = np.asarray(multisets, dtype=np.intp) @ strides
-    rank = np.zeros(size**arity, dtype=np.intp)
+    rank = np.zeros(cells, dtype=np.intp)
     rank[rep_codes] = np.arange(len(multisets))
     digits = _digits(size, arity)
     digits.sort(axis=0)
@@ -317,7 +327,9 @@ def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTab
         raise InputError(f"extension count must be a positive integer, got {times!r}")
     m, n = t.size, t.arity
     out_arity = times * (n - 1) + 1
-    if m > 1 and (out_arity >= max_cells.bit_length() or m**out_arity > max_cells):
+    if m == 1:
+        return OpTable(out_arity, 1, t.values)
+    if out_arity >= max_cells.bit_length() or m**out_arity > max_cells:
         raise ResourceError(
             f"extension table would need {m}**{out_arity} cells (budget {max_cells})"
         )

@@ -14,18 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, InputError, Violation
-from .bandcore import (
-    QuotientSemilattice,
-    SigmaPartition,
-    _rows_sigma,
-    associated_band,
-    lambda_table,
-    quotient,
-    sigma_partition,
-)
+from .bandcore import QuotientSemilattice, SigmaPartition, _rows_sigma, lambda_table
 from .optable import (
     OpTable,
     _multiset_args,
+    _orbit_values,
     _strides,
     check_associative,
     check_symmetric,
@@ -291,15 +284,11 @@ class StrongSystem:
     @cached_property
     def homs(self) -> dict[tuple[int, int], HomMap]:
         """The maps as HomMap views keyed (upper, lower), (i, i) included."""
-        return _hom_views(self.partition, self.quotient, self.image)
-
-
-def _hom_views(partition: SigmaPartition, semilattice: QuotientSemilattice, image):
-    k = partition.size
-    return {
-        (a, b): HomMap(a, b, tuple((x, image[x * k + b]) for x in partition.classes[a]))
-        for a, b in semilattice.comparable_pairs()
-    }
+        k, image, classes = self.partition.size, self.image, self.partition.classes
+        return {
+            (a, b): HomMap(a, b, tuple((x, image[x * k + b]) for x in classes[a]))
+            for a, b in self.quotient.comparable_pairs()
+        }
 
 
 def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
@@ -348,65 +337,52 @@ def _compose_system(system: StrongSystem, n: int, cayleys) -> OpTable:
     return symmetric_table(n, system.size, orbits[0])
 
 
-def _image_matrix(band, partition: SigmaPartition, semilattice: QuotientSemilattice):
-    """StrongSystem.image read off the associated band's values: the image
-    of x in a class c at or below the class of x is B(y, x), for any y in c.
-    ConsistencyError, for the first comparable pair in order, when the
-    members of the lower class disagree or an image escapes it."""
-    class_of, k = np.asarray(partition.class_of), partition.size
-    values = np.reshape(band, (len(class_of), len(class_of)))
-    # below[x, c]: c is at or below the class of x
-    below = np.array([[semilattice.leq(c, a) for c in range(k)] for a in range(k)])[class_of]
-    image = np.where(below, values[[c[0] for c in partition.classes]].T, -1)
-    # wrong[y, x]: B(y, x) is not the image of x in the class of y, or escapes it
-    wrong = (values != image[:, class_of].T) | (class_of[values] != class_of[:, None])
-    ys, xs = (below[:, class_of].T & wrong).nonzero()
-    if len(ys):
-        upper, lower = min(zip(class_of[xs].tolist(), class_of[ys].tolist()))
-        rows = values[np.ix_(partition.classes[lower], partition.classes[upper])]
-        if (rows != rows[0]).any():
-            raise ConsistencyError(f"translation maps from class {lower} disagree on class {upper}")
-        escaped = next(v for v in rows[0].tolist() if class_of[v] != lower)
-        raise ConsistencyError(f"translation image {escaped} escapes class {lower}")
-    return tuple(image.ravel().tolist())
-
-
-def hom_maps(
-    t: OpTable,
-    partition: SigmaPartition | None = None,
-    semilattice: QuotientSemilattice | None = None,
-    verify: bool = True,
-) -> dict[tuple[int, int], HomMap]:
-    """Connecting maps of t: for lower <= upper, the translation row of any
-    lower-class element restricted to the upper class.
-
-    Representative-independence across the lower class is asserted;
-    failure raises ConsistencyError.
-    """
-    if verify:
-        require_band(t)
-    if partition is None:
-        partition = sigma_partition(t, verify=False)
-    if semilattice is None:
-        semilattice = quotient(t, partition)[2]
-    image = _image_matrix(associated_band(t, verify=False).values, partition, semilattice)
-    return _hom_views(partition, semilattice, image)
+def hom_maps(t: OpTable, verify: bool = True) -> dict[tuple[int, int], HomMap]:
+    """Connecting maps of t keyed (upper, lower): decompose(t, verify).homs."""
+    return decompose(t, verify).homs
 
 
 def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
-    """Full structural decomposition of a symmetric n-ary band.
+    """Strong-system decomposition of a symmetric n-ary band, read off its
+    associated band B(x, y) = t(x, ..., x, y), then certified.
 
-    Neutral elements default to each class's least member; any choice
-    yields the same class extensions.
+    Classes are B's equal rows; the meet, and the image of x in a class at
+    or below its own, are B on the least members of the classes; class
+    groups take their least member as neutral (any gives the same
+    extensions).  By the structure theorem t is a band iff this system is
+    valid and composes back to t, so that is the only check: a band is
+    never scanned.  Any other t raises the ConsistencyError of the first
+    failed step or, with verify, require_band's DomainError and witness.
     """
-    if verify:
-        require_band(t)
-    lam = lambda_table(t, verify=False)
-    partition = _rows_sigma(lam)
-    _, _, semilattice = quotient(t, partition)
-    groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
-    image = _image_matrix(lam.rows, partition, semilattice)
-    return StrongSystem(t.arity, partition, semilattice, groups, image)
+    try:
+        lam = lambda_table(t, verify=False)
+        partition = _rows_sigma(lam)
+        class_of, band = np.asarray(partition.class_of), np.asarray(lam.rows)
+        least, class_ids = [c[0] for c in partition.classes], np.arange(partition.size)
+        meet = class_of[band[np.ix_(least, least)]]
+        semilattice = QuotientSemilattice(OpTable(2, len(least), tuple(meet.ravel().tolist())))
+        groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
+        below = meet[class_of] == class_ids  # below[x, c]: c is at or below the class of x
+        image = np.where(below, band[least].T, -1)
+        if (below & (class_of[image] != class_ids)).any():
+            raise ConsistencyError("a translation image escapes its class")
+        system = StrongSystem(t.arity, partition, semilattice, groups, image.ravel().tolist())
+        # class_group has checked the group laws at t's arity: the maps remain
+        failed = next(_failed_hom_laws(system, t.arity), None)
+        if failed is not None:
+            raise ConsistencyError(f"decomposed system fails validation: {': '.join(failed)}")
+        cayleys = [v for g in groups for v in g.cayley.values]
+        composed = _compose_orbits(
+            t.arity, partition.class_of, partition.classes, [meet], [cayleys], [image]
+        )[0]
+        orbits = _orbit_values(t)
+        if orbits is None or not np.array_equal(composed, orbits):
+            raise ConsistencyError("decomposed system does not compose back to the table")
+    except ConsistencyError:
+        if verify:
+            require_band(t)
+        raise
+    return system
 
 
 def validate_system(system: StrongSystem, arity: int | None = None) -> list[Violation]:
@@ -420,16 +396,22 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
     n = system.arity if arity is None else arity
     if not isinstance(n, int) or n < 2:
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
-    out: list[Violation] = []
-    report = out.append
-    for g in system.groups:
-        for code, message in _failed_group_laws(g.cayley, g.position(g.neutral), n):
-            report(Violation(code, f"class {g.class_index}: {message}"))
+    out = [
+        Violation(code, f"class {g.class_index}: {message}")
+        for g in system.groups
+        for code, message in _failed_group_laws(g.cayley, g.position(g.neutral), n)
+    ]
+    return out + [Violation(*law) for law in _failed_hom_laws(system, n)]
+
+
+def _failed_hom_laws(system: StrongSystem, n: int):
+    """validate_system's laws of the connecting maps that system fails at
+    arity n, as (code, message), a generator like _failed_group_laws."""
     k, image, classes = system.quotient.size, system.image, system.partition.classes
     pairs = system.quotient.comparable_pairs()
     for a, b in pairs:
         if a == b and any(image[x * k + a] != x for x in classes[a]):
-            report(Violation("hom-identity", f"map ({a}, {a}) is not the identity"))
+            yield "hom-identity", f"map ({a}, {a}) is not the identity"
         # phi is an n-ary hom between class extensions iff
         # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
         upper, lower = system.groups[a], system.groups[b]
@@ -441,15 +423,13 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
             rhs = [cayley[r * order + tail] for r in rhs]
         if rhs != [phi[v] for v in upper.cayley.values]:
             message = f"map ({a}, {b}) is not a homomorphism of the class extensions"
-            report(Violation("hom-multiplicative", message))
+            yield "hom-multiplicative", message
     for a, b in pairs:
         for c in range(k):
             if system.quotient.leq(c, b) and any(
                 image[image[x * k + b] * k + c] != image[x * k + c] for x in classes[a]
             ):
-                message = f"maps along {a} >= {b} >= {c} do not compose coherently"
-                report(Violation("hom-composition", message))
-    return out
+                yield "hom-composition", f"maps along {a} >= {b} >= {c} do not compose coherently"
 
 
 def require_valid_system(system: StrongSystem, arity: int | None = None) -> None:

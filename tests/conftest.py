@@ -11,6 +11,7 @@ from narybands import (
     enumerate_bands,
     table_from_function,
 )
+from narybands.optable import _orbit_values, multiset_index, symmetric_table
 
 # The two 4-element ternary bands used as golden data throughout, stored by
 # sorted argument multiset.  Both share the diagonal and the classes {0},{1},
@@ -32,6 +33,29 @@ F2_MULTISET = {
     (1, 2, 2): 3, (1, 2, 3): 2, (1, 3, 3): 3,
     (2, 2, 2): 2, (2, 2, 3): 3, (2, 3, 3): 2,
     (3, 3, 3): 3,
+}
+
+
+# two non-bands whose systems, read off them and left unchecked, passed for
+# bands: the first one's system is valid but composes to another table; the
+# second one's composes back to it, but its maps are not coherent
+NON_BAND_DOCS = {
+    "non-band-arity-4": {
+        "arity": 4,
+        "elements": ["0", "1"],
+        "values": [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1],
+    },
+    "non-band-five-ternary": {
+        "arity": 3,
+        "elements": ["0", "1", "2", "3", "4"],
+        "values": [
+            0, 2, 2, 3, 0, 2, 2, 2, 3, 3, 2, 2, 2, 3, 3, 3, 3, 3, 2, 2, 0, 3, 3, 2, 0,
+            2, 2, 2, 3, 3, 2, 1, 2, 3, 3, 2, 2, 2, 3, 3, 3, 3, 3, 2, 2, 3, 3, 3, 2, 2,
+            2, 2, 2, 3, 3, 2, 2, 2, 3, 3, 2, 2, 2, 3, 3, 3, 3, 3, 2, 2, 3, 3, 3, 2, 2,
+            3, 3, 3, 2, 2, 3, 3, 3, 2, 2, 3, 3, 3, 2, 2, 2, 2, 2, 3, 3, 2, 2, 2, 3, 3,
+            0, 3, 3, 2, 0, 3, 3, 3, 2, 2, 3, 3, 3, 2, 2, 2, 2, 2, 3, 3, 0, 2, 2, 3, 4,
+        ],
+    },
 }
 
 
@@ -115,6 +139,22 @@ def perturbed(tables, seed):
             i = rng.randrange(len(values))
             values[i] = rng.choice([v for v in range(t.size) if v != values[i]])
         out.append(OpTable(t.arity, t.size, tuple(values)))
+    return out
+
+
+def perturbed_multisets(tables, seed, count):
+    """Each symmetric table with count of its argument multisets that hold
+    two or more elements moved to other values, chosen by a seeded
+    generator; the results stay symmetric and idempotent."""
+    rng = random.Random(seed)
+    out = []
+    for t in tables:
+        row = _orbit_values(t).tolist()
+        multisets = multiset_index(t.size, t.arity).multisets
+        mixed = [i for i, c in enumerate(multisets) if c[0] != c[-1]]
+        for i in rng.sample(mixed, count):
+            row[i] = rng.choice([v for v in range(t.size) if v != row[i]])
+        out.append(symmetric_table(t.arity, t.size, row))
     return out
 
 

@@ -13,11 +13,16 @@ from narybands import (
     ConsistencyError,
     InputError,
     OpTable,
+    StrongSystem,
     check_associative,
+    class_group,
     extend,
     invariant_factors,
     lambda_table,
+    quotient,
+    require_band,
 )
+from narybands.bandcore import _rows_sigma
 from narybands.structure import _failed_group_laws
 
 
@@ -267,3 +272,42 @@ def classify_reference(t, verify=True):
     if len(set(lam.rows)) == t.size:
         return Classification.SEMILATTICE_EXTENSION
     return Classification.GENERAL
+
+
+def image_matrix_reference(band, partition, semilattice):
+    """StrongSystem.image read off the associated band's values, checked
+    cell by cell: the image of x in a class c at or below the class of x
+    is B(y, x), for any y in c.  ConsistencyError, for the first comparable
+    pair in order, when the members of the lower class disagree or an
+    image escapes it."""
+    class_of, k = np.asarray(partition.class_of), partition.size
+    values = np.reshape(band, (len(class_of), len(class_of)))
+    # below[x, c]: c is at or below the class of x
+    below = np.array([[semilattice.leq(c, a) for c in range(k)] for a in range(k)])[class_of]
+    image = np.where(below, values[[c[0] for c in partition.classes]].T, -1)
+    # wrong[y, x]: B(y, x) is not the image of x in the class of y, or escapes it
+    wrong = (values != image[:, class_of].T) | (class_of[values] != class_of[:, None])
+    ys, xs = (below[:, class_of].T & wrong).nonzero()
+    if len(ys):
+        upper, lower = min(zip(class_of[xs].tolist(), class_of[ys].tolist()))
+        rows = values[np.ix_(partition.classes[lower], partition.classes[upper])]
+        if (rows != rows[0]).any():
+            raise ConsistencyError(f"translation maps from class {lower} disagree on class {upper}")
+        escaped = next(v for v in rows[0].tolist() if class_of[v] != lower)
+        raise ConsistencyError(f"translation image {escaped} escapes class {lower}")
+    return tuple(image.ravel().tolist())
+
+
+def decompose_reference(t, verify=True):
+    """decompose by checking first: the band scan, then the sigma classes,
+    the meet from quotient's loop over every cell of t and of its
+    associated band, the class groups and the connecting maps checked
+    cell by cell, with no check that the system composes back to t."""
+    if verify:
+        require_band(t)
+    lam = lambda_table(t, verify=False)
+    partition = _rows_sigma(lam)
+    _, _, semilattice = quotient(t, partition)
+    groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
+    image = image_matrix_reference(lam.rows, partition, semilattice)
+    return StrongSystem(t.arity, partition, semilattice, groups, image)

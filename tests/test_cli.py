@@ -11,8 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from narybands import __version__, relabel, table_from_function, table_from_json, table_to_json
+from narybands import (
+    __version__,
+    decompose,
+    relabel,
+    system_to_json,
+    table_from_function,
+    table_from_json,
+    table_to_json,
+)
 from narybands.cli import main
+
+from conftest import NON_BAND_DOCS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 F1_PATH = str(FIXTURES / "irreducible4.json")
@@ -211,6 +221,81 @@ def test_check_output_is_pinned(capsys, tmp_path, name, report, want, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "name, argv, want, digest",
+    [
+        ("irreducible4", ("decompose",), 0, "d31811b24f6b10da"),
+        ("irreducible4", ("decompose", "--no-verify"), 0, "d31811b24f6b10da"),
+        ("irreducible4", ("reduce",), 1, "5343ddf86b001e70"),
+        ("majority2", ("decompose",), 1, "e3b0c44298fc1c14"),
+        ("majority2", ("decompose", "--no-verify"), 1, "e3b0c44298fc1c14"),
+        ("majority2", ("reduce",), 1, "e3b0c44298fc1c14"),
+        ("reducible4", ("decompose",), 0, "4603a4297dddd69a"),
+        ("reducible4", ("decompose", "--no-verify"), 0, "4603a4297dddd69a"),
+        ("reducible4", ("reduce",), 0, "b7d66c8abc12d2af"),
+        ("tmin3", ("decompose",), 0, "702ea7a7a71959fb"),
+        ("tmin3", ("decompose", "--no-verify"), 0, "702ea7a7a71959fb"),
+        ("tmin3", ("reduce",), 0, "62635e96798c77e0"),
+        ("txor2", ("decompose",), 0, "f997eb4413f86aa5"),
+        ("txor2", ("decompose", "--no-verify"), 0, "f997eb4413f86aa5"),
+        ("txor2", ("reduce",), 0, "c746440a5f44984e"),
+    ],
+)
+def test_decompose_and_reduce_output_is_pinned(capsys, name, argv, want, digest):
+    # the first 16 hex digits of the SHA-256 of stdout: the system document
+    # or reduction result of each band, and nothing for majority2
+    code, out, _ = run(capsys, *argv, str(FIXTURES / f"{name}.json"))
+    assert code == want
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "name, argv, error",
+    [
+        (
+            "non-band-arity-4",
+            ("decompose",),
+            "operation is not associative: witness "
+            "AssociativityWitness(args=(0, 0, 0, 1, 1, 1, 1), position=3)",
+        ),
+        (
+            "non-band-arity-4",
+            ("decompose", "--no-verify"),
+            "decomposed system does not compose back to the table",
+        ),
+        (
+            "non-band-arity-4",
+            ("reduce", "--no-verify"),
+            "decomposed system does not compose back to the table",
+        ),
+        (
+            "non-band-five-ternary",
+            ("decompose",),
+            "operation is not associative: witness "
+            "AssociativityWitness(args=(0, 0, 0, 4, 1), position=2)",
+        ),
+        (
+            "non-band-five-ternary",
+            ("decompose", "--no-verify"),
+            "decomposed system fails validation: "
+            "hom-composition: maps along 3 >= 0 >= 2 do not compose coherently",
+        ),
+        (
+            "non-band-five-ternary",
+            ("reduce", "--no-verify"),
+            "decomposed system fails validation: "
+            "hom-composition: maps along 3 >= 0 >= 2 do not compose coherently",
+        ),
+    ],
+)
+def test_pinned_non_bands_fail_with_or_without_verify(capsys, tmp_path, name, argv, error):
+    # without --no-verify the axiom scan names the law; with it, the check
+    # of the system read off the table fails, and nothing reaches stdout
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(NON_BAND_DOCS[name]))
+    assert run(capsys, *argv, str(path)) == (1, "", f"error: {error}\n")
+
+
 def test_check_one_element_arity_64(capsys, tmp_path):
     # 64 argument axes plus one would pass numpy's 64-dimension limit
     path = tmp_path / "one.json"
@@ -276,6 +361,41 @@ def test_huge_arity_is_refused_at_once(capsys, tmp_path, argv, error):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, arity",
+    [
+        (("enumerate", "--size", "2", "--arity", "63", "--count-only"), 63),
+        (("enumerate", "--size", "2", "--arity", "64", "--count-only"), 64),
+        (("compose", "min2", "--arity", "63"), 63),
+        (("compose", "min2", "--arity", "64"), 64),
+        (("compose", "min2", "--arity", "1000000001"), 1000000001),
+    ],
+    ids=["enumerate-63", "enumerate-64", "compose-63", "compose-64", "compose-10^9"],
+)
+def test_unindexable_arity_is_refused_at_once(capsys, tmp_path, argv, arity):
+    # 2**63 argument tuples pass the largest numpy index: the multiset
+    # index refuses them before numpy sees the size, and compose asks
+    # before its group checks, which take arity - 2 steps per class
+    path = tmp_path / "min2.json"
+    path.write_text(system_to_json(decompose(table_from_function(3, 2, min))))
+    argv = [str(path) if a == "min2" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    error = f"error: an index of 2**{arity} argument tuples passes the array limit\n"
+    assert (code, out, err) == (2, "", error)
+
+
+def test_extend_one_element_at_a_huge_arity(capsys, tmp_path):
+    # a one-element table extends to itself at any arity, in one step
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"arity": 2, "elements": ["a"], "values": [0]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "extend", str(path), "--arity", "1000000001")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, '{"arity": 1000000001, "elements": ["a"], "values": [0]}\n', "")
 
 
 def test_oracle_reductions(capsys):

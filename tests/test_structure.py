@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import importlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from narybands import (
     ClassGroup,
     ConsistencyError,
+    DomainError,
     HomMap,
     InputError,
     OpTable,
@@ -18,6 +21,7 @@ from narybands import (
     SigmaPartition,
     StrongSystem,
     associated_band,
+    band_violation,
     class_group,
     compose,
     decompose,
@@ -31,13 +35,17 @@ from narybands import (
     system_from_json,
     system_to_doc,
     system_to_json,
+    table_from_doc,
     table_from_function,
+    table_from_json,
     validate_system,
 )
+from narybands.optable import multiset_index, symmetric_table
 
-from conftest import outcome, perturbed, random_tables
+from conftest import NON_BAND_DOCS, outcome, perturbed, perturbed_multisets, random_tables
 from references import (
     class_group_reference,
+    decompose_reference,
     group_law_violations_reference,
     hom_violations_reference,
 )
@@ -429,7 +437,6 @@ def test_decompose_reconstruction_identity(catalog_n3):
         system = decompose(t)
         assert dense_compose(system, 3) == t.values == compose(system).values
         assert dense_compose(system, 5) == compose(system, 5).values
-    # the entries are bands by construction, so they skip the axiom scan;
     # arity 9 (4**9 tuples) runs on one table per isomorphism class
     canonical = {t.values for t in enumerate_bands(4, 5, up_to_iso=True).entries}
     for t in enumerate_bands(4, 5).entries:
@@ -437,6 +444,112 @@ def test_decompose_reconstruction_identity(catalog_n3):
         assert dense_compose(system, 5) == t.values == compose(system).values
         if t.values in canonical:
             assert dense_compose(system, 9) == compose(system, 9).values
+
+
+def symmetric_idempotent_tables(m, n):
+    """Every symmetric idempotent table of arity n on m elements."""
+    multisets = multiset_index(m, n).multisets
+    mixed = [i for i, c in enumerate(multisets) if c[0] != c[-1]]
+    for values in itertools.product(range(m), repeat=len(mixed)):
+        row = [c[0] for c in multisets]
+        for i, v in zip(mixed, values):
+            row[i] = v
+        yield symmetric_table(n, m, row)
+
+
+def multiset_perturbations():
+    """A seeded sample of each catalog, fewer where the band scan is slow,
+    each table with one and with two of its multisets moved."""
+    rng = random.Random(51)
+    sizes = {(4, 3): 197, (5, 3): 300, (4, 5): 20, (5, 2): 300, (4, 4): 92, (3, 4): 10, (5, 5): 10}
+    out = []
+    for (m, n), count in sizes.items():
+        sample = rng.sample(enumerate_bands(m, n).entries, count)
+        out += perturbed_multisets(sample, 52, 1) + perturbed_multisets(sample, 53, 2)
+    return out
+
+
+SMALL = [(2, n) for n in range(2, 8)] + [(3, 2), (3, 3), (4, 2)]
+CORPORA = {
+    "symmetric-idempotent": lambda _: [
+        t for m, n in SMALL for t in symmetric_idempotent_tables(m, n)
+    ],
+    "catalog-cells": lambda catalog: perturbed(catalog, 54),
+    "catalog-multisets": lambda _: multiset_perturbations(),
+    "random": lambda _: random_tables(55, 3000),
+    "pinned": lambda _: [table_from_doc(doc)[0] for doc in NON_BAND_DOCS.values()],
+}
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_decompose_accepts_exactly_the_bands(corpus, catalog_tables):
+    # the system read off t is valid and composes back to t iff t is a
+    # band: without verify a non-band raises ConsistencyError and nothing
+    # else, with it the DomainError of require_band, law and witness
+    tables = CORPORA[corpus](catalog_tables)
+    bands = 0
+    for t in tables:
+        found = band_violation(t)
+        if found is None:
+            bands += 1
+            assert isinstance(decompose(t, verify=False), StrongSystem)
+            continue
+        with pytest.raises(ConsistencyError):
+            decompose(t, verify=False)
+        with pytest.raises(DomainError) as info:
+            decompose(t)
+        assert (info.value.axiom, info.value.witness) == found
+    if corpus == "symmetric-idempotent":
+        assert (len(tables), bands) == (6436, 118)
+    assert bands < len(tables)
+
+
+def decomposed(f, t):
+    got = outcome(f, t)
+    return system_to_json(got) if isinstance(got, StrongSystem) else got
+
+
+BAND_CATALOGS = [(m, n) for n in (2, 3) for m in range(1, 6)] + [(3, 4), (4, 5), (3, 5)]
+
+
+@pytest.mark.parametrize("m, n", BAND_CATALOGS, ids=[f"{m}-{n}" for m, n in BAND_CATALOGS])
+def test_decompose_matches_the_reference_on_catalogs(m, n):
+    # the catalog tables are bands, so the reference skips its band scan
+    for t in enumerate_bands(m, n).entries:
+        assert system_to_json(decompose(t)) == system_to_json(decompose_reference(t, verify=False))
+
+
+def test_decompose_matches_the_reference_on_fixtures():
+    # the same system document or the same DomainError, majority2 included
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        t, _ = table_from_json(path.read_text())
+        assert decomposed(decompose, t) == decomposed(decompose_reference, t)
+
+
+def test_decompose_never_scans_a_band(monkeypatch, f1, f2, min3, xor3):
+    # the certificate stands in for the band scan and for quotient's loop
+    # over every cell: on a band neither runs, and t itself is never
+    # checked for associativity (the meet and the class groups still are)
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in ("narybands", "optable", "bandcore", "structure", "compose", "reduce"):
+        module = importlib.import_module(module if module == "narybands" else f"narybands.{module}")
+        for name in ("quotient", "require_band", "check_associative"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for t in (f1, f2, min3, xor3):
+        for verify in (True, False):
+            decompose(t, verify)
+            hom_maps(t, verify)
+        assert [(name, arg) for name, arg in calls if arg is t or name != "check_associative"] == []
+    assert calls
 
 
 def test_hom_map_apply_rejects_outside_source():
