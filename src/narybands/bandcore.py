@@ -99,7 +99,7 @@ class QuotientSemilattice:
             raise ConsistencyError("meet table is not commutative")
         if check_idempotent(self.meet) is not None:
             raise ConsistencyError("meet table is not idempotent")
-        if check_associative(self.meet, use_symmetry=True) is not None:
+        if check_associative(self.meet) is not None:
             raise ConsistencyError("meet table is not associative")
 
     @property
@@ -164,7 +164,7 @@ def check_right_normal(band: OpTable):
     idem = check_idempotent(band)
     if idem is not None:
         return ("idempotent", idem)
-    assoc = check_associative(band, use_symmetry=False)
+    assoc = check_associative(band)
     if assoc is not None:
         return ("associative", assoc)
     for x, y, z in itertools.product(range(m), repeat=3):

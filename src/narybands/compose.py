@@ -16,10 +16,12 @@ import numpy as np
 from .errors import ConsistencyError, InputError, ResourceError
 from .bandcore import QuotientSemilattice
 from .optable import (
+    _CHUNK_CELLS,
     OpTable,
     _canonical_forms,
     _canonical_orbits,
-    _index_cells,
+    _orbit_of,
+    _passes,
     symmetric_table,
 )
 from .structure import StrongSystem, _compose_orbits, _compose_system, require_valid_system
@@ -190,9 +192,7 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
     free = math.comb(m + n - 1, n) - m
-    # as in OpTable, a huge m**n is known to pass the budget without computing it
-    wide = m > 1 and n >= max_candidates.bit_length()
-    if wide or max(free * math.comb(m + n - 2, n - 1), m**n) > max_candidates:
+    if _passes(m, n, max_candidates) or free * math.comb(m + n - 2, n - 1) > max_candidates:
         raise ResourceError(
             f"searching {free} multisets of {m}**{n}-cell tables exceeds budget {max_candidates}"
         )
@@ -233,7 +233,7 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
     for x in range(m):
         assign(cell_of[n * unit[x]], x)  # registers only x^(2n-1) -> x
     order = [i for i, c in enumerate(cells) if c[0] != c[-1]]
-    bands = []  # orbit vectors: cells are in multiset_index order
+    bands = []  # orbit vectors: cells are the multisets, in cells order
     v = nodes = 0  # v: the next value to try at the current depth
     while True:
         depth = len(trail) - m
@@ -397,8 +397,9 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
     n = system.arity if arity is None else arity
     if not isinstance(n, int) or n < 2:
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
-    # refuse an unindexable arity before the group checks' n - 2 steps per class
-    _index_cells(system.size, n)
+    if system.size == 1:
+        return OpTable(n, 1, (0,))  # every one-element system is valid
+    _orbit_of(system.size, n)  # refuses an unindexable n before n-step group checks
     if verify:
         require_valid_system(system, n)
     return _compose_system(system, n, [v for g in system.groups for v in g.cayley.values])
@@ -428,6 +429,10 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
         raise InputError("need size >= 1 and arity >= 2")
     if m > ENUMERATE_SIZE_LIMIT:
         raise ResourceError(f"enumeration supports at most {ENUMERATE_SIZE_LIMIT} elements")
+    if m == 1:
+        return BandCatalog(1, n, (b"\0",), 1, 1)
+    if math.comb(m + n - 1, n) * n > _CHUNK_CELLS:  # one relabeling holds all its arguments
+        raise ResourceError(f"one relabeling at arity {n} passes {_CHUNK_CELLS} arguments")
     blocks = []
     for sizes in _compositions(m):
         options = [

@@ -74,10 +74,7 @@ class OpTable:
             raise InputError(f"size must be an integer >= 1, got {self.size!r}")
         vals = tuple(self.values)
         object.__setattr__(self, "values", vals)
-        # for size >= 2, an arity of len(vals).bit_length() or more makes
-        # size**arity exceed len(vals); compare first, as the power is huge
-        overshoots = self.size > 1 and self.arity >= len(vals).bit_length()
-        if overshoots or len(vals) != self.size**self.arity:
+        if _passes(self.size, self.arity, len(vals)) or len(vals) != self.size**self.arity:
             raise InputError(
                 f"values has length {len(vals)}, expected {self.size}**{self.arity}"
             )
@@ -165,40 +162,17 @@ def _assoc_scan(t: OpTable, starts: Sequence[int]) -> AssociativityWitness | Non
     return witness
 
 
-def check_associative(t: OpTable, use_symmetry: bool | None = None) -> AssociativityWitness | None:
+def check_associative(t: OpTable) -> AssociativityWitness | None:
     """Return None if t associates, else the first counterexample found.
 
     The scan compares adjacent nestings over all (2n-1)-argument tuples,
     rightmost nesting pair first (matching the right-nested extension
-    recursion), tuples in lexicographic order within each pair.
-
-    For symmetric tables one nesting comparison suffices; use_symmetry=True
-    skips the rest (sound only if the table is symmetric), False forces the
-    full scan, and None checks symmetry first and decides.
+    recursion), tuples in lexicographic order within each pair.  For a
+    symmetric table one nesting comparison suffices, so only the rightmost
+    pair is scanned.
     """
-    if use_symmetry is None:
-        use_symmetry = check_symmetric(t) is None
-    if use_symmetry:
-        starts: list[int] = [t.arity - 2]
-    else:
-        starts = list(range(t.arity - 2, -1, -1))
-    return _assoc_scan(t, starts)
-
-
-class MultisetIndex(NamedTuple):
-    """The argument multisets of an n-ary table on m elements.
-
-    A symmetric table is fixed by its values on the multisets, one per
-    orbit of argument tuples under permutation.  Multisets are numbered in
-    combinations_with_replacement order, which is the flat order of their
-    sorted tuples, and each multiset's sorted tuple is the first of its
-    cells in flat order.  So two symmetric tables compare like their
-    vectors of values on the multisets.
-    """
-
-    multisets: tuple[tuple[int, ...], ...]
-    orbit_of: "np.ndarray"  # flat index -> multiset id
-    rep_codes: "np.ndarray"  # multiset id -> flat index of its sorted tuple
+    n = t.arity
+    return _assoc_scan(t, [n - 2] if _orbit_values(t) is not None else range(n - 2, -1, -1))
 
 
 def _read_only(*arrays) -> None:
@@ -217,45 +191,66 @@ def _digits(size: int, arity: int) -> "np.ndarray":
     return digits
 
 
-def _index_cells(size: int, arity: int) -> int:
-    """size**arity, or ResourceError past the largest np.intp index (for
-    size >= 2 an arity of its bit length or more passes it, as in OpTable)."""
-    limit = np.iinfo(np.intp).max
-    if size > 1 and (arity >= limit.bit_length() or size**arity > limit):
-        raise ResourceError(f"an index of {size}**{arity} argument tuples passes the array limit")
-    return size**arity
+def _passes(size: int, arity: int, limit: int) -> bool:
+    """size**arity > limit, without the power when it is huge: for size >=
+    2 an arity of limit's bit length or more passes it."""
+    return (size > 1 and arity >= limit.bit_length()) or size**arity > limit
 
 
 @lru_cache(maxsize=64)
-def multiset_index(size: int, arity: int) -> MultisetIndex:
-    """The MultisetIndex of tables of this size and arity, built on first use."""
-    cells = _index_cells(size, arity)
-    multisets = tuple(itertools.combinations_with_replacement(range(size), arity))
-    strides = np.asarray(_strides(size, arity), dtype=np.intp)
-    rep_codes = np.asarray(multisets, dtype=np.intp) @ strides
-    rank = np.zeros(cells, dtype=np.intp)
-    rank[rep_codes] = np.arange(len(multisets))
+def _multiset_args(size: int, arity: int) -> "np.ndarray":
+    """The sorted argument tuple of each multiset, in the flat order of the
+    sorted tuples (combinations_with_replacement's), each the first cell of
+    its multiset: symmetric tables compare like their multiset values."""
+    rows = itertools.combinations_with_replacement(range(size), arity)
+    args = np.array(list(rows), dtype=np.intp)
+    _read_only(args)
+    return args
+
+
+def _rank(args: "np.ndarray", size: int) -> "np.ndarray":
+    """The multiset number of each sorted argument tuple a (args[k] holds
+    argument k): the sorted tuples before a.  Those that agree with a before
+    k and are smaller at k number prefix[k, a_k] - prefix[k, a_(k-1)], with
+    prefix[k, v] the tails of n-k-1 values from u..size-1 summed over u < v
+    (Knuth, TAOCP 4A, 7.2.1.3)."""
+    n = len(args)
+    tails = [[math.comb(size - u + n - k - 2, n - k - 1) for u in range(size)] for k in range(n)]
+    prefix = np.zeros((n, size + 1), dtype=np.intp)
+    np.cumsum(tails, axis=1, out=prefix[:, 1:])
+    rank = prefix[0][args[0]]
+    for k in range(1, n):
+        rank += prefix[k][args[k]] - prefix[k][args[k - 1]]
+    return rank
+
+
+@lru_cache(maxsize=64)
+def _orbit_of(size: int, arity: int) -> "np.ndarray":
+    """orbit_of[j]: the multiset number of the j-th argument tuple in flat
+    order, for code that gathers or scatters a dense table.  ResourceError
+    past the largest np.intp index."""
+    if _passes(size, arity, np.iinfo(np.intp).max):
+        raise ResourceError(f"an index of {size}**{arity} argument tuples passes the array limit")
     digits = _digits(size, arity)
     digits.sort(axis=0)
-    orbit_of = rank[strides @ digits]
-    _read_only(orbit_of, rep_codes)
-    return MultisetIndex(multisets, orbit_of, rep_codes)
+    orbit_of = _rank(digits, size)
+    _read_only(orbit_of)
+    return orbit_of
 
 
 def symmetric_table(arity: int, size: int, orbit_values) -> OpTable:
     """The symmetric table taking orbit_values[i] on multiset i."""
-    index = multiset_index(size, arity)
-    return OpTable(arity, size, tuple(np.asarray(orbit_values)[index.orbit_of].tolist()))
+    return OpTable(arity, size, tuple(np.asarray(orbit_values)[_orbit_of(size, arity)].tolist()))
 
 
 def _orbit_values(t: OpTable) -> "np.ndarray | None":
-    """t's values on its argument multisets, or None if t is not symmetric."""
-    index = multiset_index(t.size, t.arity)
+    """t's values on its argument multisets, or None if t is not symmetric:
+    each multiset takes one of its cells' values, compared back on all."""
+    orbit_of = _orbit_of(t.size, t.arity)
     values = np.asarray(t.values, dtype=np.intp)
-    orbit = values[index.rep_codes]
-    if not np.array_equal(orbit[index.orbit_of], values):
-        return None
-    return orbit
+    orbit = np.empty(orbit_of[-1] + 1, dtype=np.intp)
+    orbit[orbit_of] = values
+    return orbit if np.array_equal(orbit[orbit_of], values) else None
 
 
 def check_symmetric(t: OpTable) -> SymmetryWitness | None:
@@ -298,9 +293,11 @@ def check_idempotent(t: OpTable) -> int | None:
 def _band_laws(t: OpTable):
     """The band laws in report order, each as (name, witness), the witness
     None where the law holds: associative, symmetric, idempotent."""
-    sym = check_symmetric(t)
-    assoc = check_associative(t, use_symmetry=sym is None)
-    return (("associative", assoc), ("symmetric", sym), ("idempotent", check_idempotent(t)))
+    return (
+        ("associative", check_associative(t)),
+        ("symmetric", check_symmetric(t)),
+        ("idempotent", check_idempotent(t)),
+    )
 
 
 def band_violation(t: OpTable):
@@ -329,7 +326,7 @@ def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTab
     out_arity = times * (n - 1) + 1
     if m == 1:
         return OpTable(out_arity, 1, t.values)
-    if out_arity >= max_cells.bit_length() or m**out_arity > max_cells:
+    if _passes(m, out_arity, max_cells):
         raise ResourceError(
             f"extension table would need {m}**{out_arity} cells (budget {max_cells})"
         )
@@ -361,28 +358,24 @@ def relabel(t: OpTable, perm: Sequence[int]) -> OpTable:
     return OpTable(t.arity, m, tuple(perm[np.asarray(t.values, dtype=np.intp)[source]].tolist()))
 
 
-@lru_cache(maxsize=64)
-def _multiset_args(size: int, arity: int) -> "np.ndarray":
-    """The sorted argument tuple of each multiset, one row per multiset."""
-    args = np.asarray(multiset_index(size, arity).multisets, dtype=np.intp)
-    args.flags.writeable = False
-    return args
-
-
 def _relabel_source(inverse: "np.ndarray", size: int, arity: int, cells: int) -> "np.ndarray":
     """source[p, j]: the cell whose value relabeling by the permutation
     with inverse inverse[p] moves to cell j.  There is one cell per
-    argument multiset, or per argument tuple if there are size**arity."""
-    dense = cells == size**arity
-    if dense:
-        args = _digits(size, arity).T
-    else:
-        args = _multiset_args(size, arity)
+    argument multiset, or per argument tuple if there are size**arity.
+    Moved multisets are looked up in the dense map if its size**arity
+    cells fit one chunk, else sorted and ranked, building nothing dense."""
+    symmetric = cells != size**arity
+    args = _multiset_args(size, arity).T if symmetric else _digits(size, arity)
     inverse = np.asarray(inverse, dtype=np.intp)
+    if symmetric and _passes(size, arity, _CHUNK_CELLS):
+        # moved[p, k, j]: argument k of multiset j moved by permutation p
+        moved = inverse[:, args]
+        moved.sort(axis=1)
+        return _rank(moved.swapaxes(0, 1), size)
     code = 0
-    for k, stride in enumerate(_strides(size, arity)):
-        code = code + inverse[:, args[:, k]] * stride
-    return code if dense else multiset_index(size, arity).orbit_of[code]
+    for row, stride in zip(args, _strides(size, arity)):
+        code = code + inverse[:, row] * stride
+    return _orbit_of(size, arity)[code] if symmetric else code
 
 
 @lru_cache(maxsize=2)
@@ -431,7 +424,7 @@ def canonical_form(t: OpTable) -> OpTable:
     forms are equal.
 
     A symmetric table is relabeled on its argument multisets only, whose
-    values order its relabelings as the full tables (MultisetIndex); any
+    values order its relabelings as the full tables (_multiset_args); any
     other table is relabeled on every argument tuple (_canonical_orbits).
     """
     return OpTable(t.arity, t.size, _canonical_forms([t])[0])
@@ -543,15 +536,15 @@ def _orbit_rows_to_json(rows: Sequence[bytes], size: int, arity: int) -> str:
     digits of table_to_json's line for the all-zero table.  Every value is
     one digit, since callers hold size <= CANONICAL_SIZE_LIMIT < 10."""
     assert size <= CANONICAL_SIZE_LIMIT < 10, "table values must be single digits"
-    index = multiset_index(size, arity)
+    orbit_of = _orbit_of(size, arity)
     cells = size**arity
     zero = table_to_json(OpTable(arity, size, (0,) * cells))
     template = np.frombuffer(f"{zero}\n".encode(), dtype=np.uint8)
     # "values" is the document's last key, so its digits are the last zeros
     slots = np.flatnonzero(template == ord("0"))[-cells:]
-    orbits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(index.multisets))
+    orbits = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
     text = np.tile(template, (len(rows), 1))
-    text[:, slots] = orbits[:, index.orbit_of] + ord("0")
+    text[:, slots] = orbits[:, orbit_of] + ord("0")
     return text.tobytes().decode()[:-1]
 
 

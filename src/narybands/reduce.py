@@ -157,7 +157,7 @@ def verify_reduction(t: OpTable, reduction: OpTable) -> list[Violation]:
     sym = check_symmetric(reduction)
     if sym is not None:
         out.append(Violation("symmetric", f"not symmetric: {sym.args} vs {sym.swapped}"))
-    assoc = check_associative(reduction, use_symmetry=sym is None)
+    assoc = check_associative(reduction)
     if assoc is not None:
         out.append(Violation("associative", f"not associative at {assoc.args}"))
     if set(reduction.values) != set(range(t.size)):

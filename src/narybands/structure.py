@@ -153,10 +153,9 @@ def _failed_group_laws(cayley: OpTable, e_pos: int, n: int):
     cay = cayley.values
     if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
         yield "group-identity", "neutral does not act as identity"
-    sym = check_symmetric(cayley)
-    if sym is not None:
+    if check_symmetric(cayley) is not None:
         yield "group-commutative", "operation is not commutative"
-    if check_associative(cayley, use_symmetry=sym is None) is not None:
+    if check_associative(cayley) is not None:
         yield "group-associative", "operation is not associative"
     if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
         yield "group-inverse", "some element has no inverse"

@@ -11,7 +11,9 @@ from narybands import (
     enumerate_bands,
     table_from_function,
 )
-from narybands.optable import _orbit_values, multiset_index, symmetric_table
+from narybands.optable import _orbit_values, symmetric_table
+
+from references import multiset_index_reference
 
 # The two 4-element ternary bands used as golden data throughout, stored by
 # sorted argument multiset.  Both share the diagonal and the classes {0},{1},
@@ -150,7 +152,7 @@ def perturbed_multisets(tables, seed, count):
     out = []
     for t in tables:
         row = _orbit_values(t).tolist()
-        multisets = multiset_index(t.size, t.arity).multisets
+        multisets = multiset_index_reference(t.size, t.arity)[0]
         mixed = [i for i, c in enumerate(multisets) if c[0] != c[-1]]
         for i in rng.sample(mixed, count):
             row[i] = rng.choice([v for v in range(t.size) if v != row[i]])

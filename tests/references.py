@@ -138,6 +138,25 @@ def assoc_witness_reference(t, starts):
     return None
 
 
+def multiset_index_reference(size, arity):
+    """The argument multisets of an arity-ary table on size elements, in
+    combinations_with_replacement order; the multiset number of each
+    argument tuple in flat order; and the flat index of each multiset's
+    sorted tuple.  Every argument tuple is sorted and looked up by the
+    flat index of its sorted tuple, as the dense index once did."""
+    multisets = tuple(itertools.combinations_with_replacement(range(size), arity))
+    strides = size ** np.arange(arity - 1, -1, -1)
+    rep_codes = np.asarray(multisets) @ strides
+    rank = np.zeros(size**arity, dtype=np.intp)
+    rank[rep_codes] = np.arange(len(multisets))
+    digits = np.indices((size,) * arity, dtype=np.uint8).reshape(arity, -1)
+    digits.sort(axis=0)
+    codes = np.zeros(size**arity, dtype=np.intp)
+    for row, stride in zip(digits, strides):
+        codes += row * stride
+    return multisets, rank[codes], rep_codes
+
+
 def reductions_reference(t, symmetric_only=True):
     """brute_force_reductions by the plain scan: every binary table (every
     symmetric one when symmetric_only) whose (n-1)-fold extension is t and

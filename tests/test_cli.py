@@ -22,6 +22,8 @@ from narybands import (
 )
 from narybands.cli import main
 
+optable_module = importlib.import_module("narybands.optable")
+
 from conftest import NON_BAND_DOCS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -345,8 +347,12 @@ def test_oracle_bands_budget(capsys):
             ("oracle", "bands", "--size", "2", "--arity", "1000000000"),
             "searching 999999999 multisets of 2**1000000000-cell tables exceeds budget 2097152",
         ),
+        (
+            ("enumerate", "--size", "2", "--arity", "1000000000", "--count-only"),
+            "one relabeling at arity 1000000000 passes 1048576 arguments",
+        ),
     ],
-    ids=["check", "oracle-reductions", "extend", "oracle-bands"],
+    ids=["check", "oracle-reductions", "extend", "oracle-bands", "enumerate"],
 )
 def test_huge_arity_is_refused_at_once(capsys, tmp_path, argv, error):
     # 2**1000000000 has a billion bits: each check must refuse without it
@@ -366,8 +372,8 @@ def test_huge_arity_is_refused_at_once(capsys, tmp_path, argv, error):
 @pytest.mark.parametrize(
     "argv, arity",
     [
-        (("enumerate", "--size", "2", "--arity", "63", "--count-only"), 63),
-        (("enumerate", "--size", "2", "--arity", "64", "--count-only"), 64),
+        (("enumerate", "--size", "2", "--arity", "63"), 63),
+        (("enumerate", "--size", "2", "--arity", "64"), 64),
         (("compose", "min2", "--arity", "63"), 63),
         (("compose", "min2", "--arity", "64"), 64),
         (("compose", "min2", "--arity", "1000000001"), 1000000001),
@@ -375,9 +381,10 @@ def test_huge_arity_is_refused_at_once(capsys, tmp_path, argv, error):
     ids=["enumerate-63", "enumerate-64", "compose-63", "compose-64", "compose-10^9"],
 )
 def test_unindexable_arity_is_refused_at_once(capsys, tmp_path, argv, arity):
-    # 2**63 argument tuples pass the largest numpy index: the multiset
-    # index refuses them before numpy sees the size, and compose asks
-    # before its group checks, which take arity - 2 steps per class
+    # 2**63 argument tuples pass the largest numpy index: the dense map
+    # from argument tuples to multisets, which a full listing reads,
+    # refuses them before numpy sees the size, and compose asks before its
+    # group checks, which take arity - 2 steps per class
     path = tmp_path / "min2.json"
     path.write_text(system_to_json(decompose(table_from_function(3, 2, min))))
     argv = [str(path) if a == "min2" else a for a in argv]
@@ -386,6 +393,46 @@ def test_unindexable_arity_is_refused_at_once(capsys, tmp_path, argv, arity):
     assert time.perf_counter() - start < 1
     error = f"error: an index of 2**{arity} argument tuples passes the array limit\n"
     assert (code, out, err) == (2, "", error)
+
+
+@pytest.mark.parametrize(
+    "m, n, counts",
+    [(2, 63, (3, 2)), (2, 64, (2, 1)), (3, 22, (10, 3)), (5, 12, (1065, 15))],
+)
+def test_enumerate_count_only_builds_nothing_dense(capsys, monkeypatch, m, n, counts):
+    # m**n cells pass one relabeling chunk, so the multisets are ranked:
+    # neither the dense map nor the digit matrix of arity n is built
+    asked = []
+    for name in ("_orbit_of", "_digits", "_rank"):
+        real = getattr(optable_module, name)
+
+        def recording(*args, name=name, real=real):
+            asked.append((name, len(args[0]) if name == "_rank" else args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(optable_module, name, recording)
+    optable_module._relabeling_chunk.cache_clear()
+    code, out, err = run(capsys, "enumerate", "--size", str(m), "--arity", str(n), "--count-only")
+    assert (code, out, err) == (0, f'{{"labeled": {counts[0]}, "iso": {counts[1]}}}\n', "")
+    assert ("_rank", n) in asked
+    assert not {("_orbit_of", n), ("_digits", n)} & set(asked)
+
+
+def test_one_element_at_a_huge_arity_at_once(capsys, tmp_path):
+    # a one-element carrier has one band, and every one-element system is
+    # valid: neither command takes a step per unit of arity
+    path = tmp_path / "one.json"
+    path.write_text(system_to_json(decompose(table_from_function(3, 1, lambda *a: 0))))
+    start = time.perf_counter()
+    got = [
+        run(capsys, "enumerate", "--size", "1", "--arity", "1000000000", "--count-only"),
+        run(capsys, "compose", str(path), "--arity", "1000000000"),
+    ]
+    assert time.perf_counter() - start < 1
+    assert got == [
+        (0, '{"labeled": 1, "iso": 1}\n', ""),
+        (0, '{"arity": 1000000000, "elements": ["0"], "values": [0]}\n', ""),
+    ]
 
 
 def test_extend_one_element_at_a_huge_arity(capsys, tmp_path):
@@ -540,8 +587,9 @@ def test_output_flag_writes_file(capsys, tmp_path):
 
 
 def test_memory_error_is_one_line_exit_2():
-    # multiset_index asks numpy for 3**22 ranks (234 GiB); under a 3 GiB
-    # address-space limit, set in the child alone, the allocation fails
+    # the full listing's dense map asks numpy for the 22 x 3**22 digit
+    # matrix (690 GiB); under a 3 GiB address-space limit, set in the child
+    # alone, the allocation fails
     resource = pytest.importorskip("resource")
 
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -552,8 +600,7 @@ def test_memory_error_is_one_line_exit_2():
 
     src = str(Path(__file__).parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "narybands.cli", "enumerate", "--size", "3", "--arity", "22",
-         "--count-only"],
+        [sys.executable, "-m", "narybands.cli", "enumerate", "--size", "3", "--arity", "22"],
         capture_output=True,
         text=True,
         preexec_fn=limit_memory,

@@ -35,7 +35,12 @@ from narybands import (
 )
 
 from conftest import relabel_cells
-from references import covers_reference, hom_steps_reference, make_group_reference
+from references import (
+    covers_reference,
+    hom_steps_reference,
+    make_group_reference,
+    multiset_index_reference,
+)
 
 # the package re-exports the function compose under the module's name
 compose_module = importlib.import_module("narybands.compose")
@@ -88,7 +93,7 @@ def test_class_structures_match_reference(size, arity):
     # permutation: otherwise arguments in its least class pull every x there
     catalog = enumerate_bands(size, arity)
     rows = np.frombuffer(b"".join(catalog.rows), dtype=np.uint8).reshape(len(catalog.rows), -1)
-    dense = rows[:, optable_module.multiset_index(size, arity).orbit_of]
+    dense = rows[:, multiset_index_reference(size, arity)[1]]
     columns = np.sort(dense.reshape(len(dense), size, -1), axis=1)
     one_class = np.all(columns == np.arange(size)[:, None], axis=(1, 2))
     assert {tuple(v) for v in dense[one_class].tolist()} == class_structures_reference(size, arity)
@@ -251,6 +256,30 @@ def test_enumerate_counts():
         assert catalog.labeled == expected
         assert catalog.iso == ISO_N3[m]
         assert len(catalog.entries) == expected
+
+
+@pytest.mark.parametrize(
+    "m, arities, counts",
+    [
+        (5, (12, 2), (1065, 15)),
+        (4, (17, 9, 5), (200, 15)),
+        (3, (22, 4), (10, 3)),
+        (2, (63, 3), (3, 2)),
+        (2, (64, 2), (2, 1)),
+    ],
+)
+def test_counts_depend_on_the_arity_through_the_group_types(m, arities, counts):
+    # the bands are fixed by the group types whose exponent divides n - 1,
+    # so arities that admit the same types on m elements count alike
+    for n in arities:
+        catalog = enumerate_bands(m, n)
+        assert (catalog.labeled, catalog.iso) == counts
+
+
+def test_enumerate_one_element_at_any_arity():
+    for n in (2, 3, 64, 10**9):
+        catalog = enumerate_bands(1, n)
+        assert (catalog.rows, catalog.labeled, catalog.iso) == ((b"\0",), 1, 1)
 
 
 def test_enumerate_entries_are_bands(catalog_n3):
@@ -659,7 +688,7 @@ def exhaustive_bands(m, n):
         cells = dict(zip(free, assignment))
         cells.update({(x,) * n: x for x in range(m)})
         t = table_from_function(n, m, lambda *a: cells[tuple(sorted(a))])
-        if check_associative(t, use_symmetry=True) is None:
+        if check_associative(t) is None:
             out.add(t.values)
     return out
 

@@ -38,7 +38,11 @@ from narybands import (
 from narybands.errors import DomainError
 
 from conftest import perturbed, random_tables, relabel_cells
-from references import assoc_witness_reference, neutral_elements_reference
+from references import (
+    assoc_witness_reference,
+    multiset_index_reference,
+    neutral_elements_reference,
+)
 
 optable_module = importlib.import_module("narybands.optable")
 
@@ -190,14 +194,14 @@ def test_associative_witness_is_real(maj2):
 
 
 def test_fast_path_agrees_with_general_scan():
-    # exhaustive on every symmetric ternary table over 2 elements
+    # exhaustive on every symmetric ternary table over 2 elements: the one
+    # nesting pair scanned decides as every pair does
     for values in itertools.product(range(2), repeat=8):
         t = OpTable(3, 2, values)
         if check_symmetric(t) is not None:
             continue
-        fast = check_associative(t, use_symmetry=True)
-        full = check_associative(t, use_symmetry=False)
-        assert (fast is None) == (full is None)
+        full = assoc_witness_reference(t, [1, 0])
+        assert (check_associative(t) is None) == (full is None)
 
 
 def test_check_associative_brute_oracle():
@@ -209,24 +213,23 @@ def test_check_associative_brute_oracle():
         assert (check_associative(t) is None) == expected
 
 
-def assoc_starts(t, use_symmetry):
-    """The nesting starts check_associative scans, in its order."""
-    if use_symmetry is None:
-        use_symmetry = transposition_witness(t) is None
-    return [t.arity - 2] if use_symmetry else list(range(t.arity - 2, -1, -1))
+def all_starts(t):
+    """Every nesting start, rightmost first, as check_associative scans a
+    table that is not symmetric."""
+    return list(range(t.arity - 2, -1, -1))
 
 
 @given(st.one_of(perturbed_tables(), any_tables()))
 @settings(max_examples=150, deadline=None)
 def test_check_associative_matches_tuple_scan(t):
-    # witness and position, under each use_symmetry mode and with chunks
-    # of 1, 4 and 7 argument tuples, so witnesses fall across chunks
-    for use_symmetry in (True, False, None):
-        expected = assoc_witness_reference(t, assoc_starts(t, use_symmetry))
-        assert check_associative(t, use_symmetry) == expected
-        for bound in (1, 4, 7):
-            with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
-                assert check_associative(t, use_symmetry) == expected
+    # witness and position, with chunks of 1, 4 and 7 argument tuples, so
+    # witnesses fall across chunks; a symmetric table scans one pair
+    starts = [t.arity - 2] if transposition_witness(t) is None else all_starts(t)
+    expected = assoc_witness_reference(t, starts)
+    assert check_associative(t) == expected
+    for bound in (1, 4, 7):
+        with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
+            assert check_associative(t) == expected
 
 
 def test_check_associative_bands_across_chunks(catalog_n3):
@@ -234,7 +237,7 @@ def test_check_associative_bands_across_chunks(catalog_n3):
     bands = [t for m in (1, 2, 3) for t in catalog_n3[m]]
     for bound in (1, 4, 7):
         with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
-            assert all(check_associative(t, use_symmetry=False) is None for t in bands)
+            assert all(optable_module._assoc_scan(t, all_starts(t)) is None for t in bands)
 
 
 def test_check_associative_start_order_over_chunk_order(monkeypatch):
@@ -391,6 +394,27 @@ def test_relabel_conjugates(f1):
     out = relabel(f1, perm)
     for args in itertools.product(range(4), repeat=3):
         assert out.eval(tuple(perm[a] for a in args)) == perm[f1.eval(args)]
+
+
+INDEX_SHAPES = [(m, n) for m in range(1, 7) for n in range(2, 9) if m**n <= 3 * 10**6]
+
+
+@pytest.mark.parametrize("m, n", INDEX_SHAPES, ids=[f"{m}-{n}" for m, n in INDEX_SHAPES])
+def test_multiset_numbering_matches_the_reference(m, n):
+    # the multiset list, the dense map and the relabel source of a
+    # symmetric table, the source both looked up in the dense map and
+    # ranked (a chunk bound below and above m**n); seeded permutations
+    multisets, orbit_of, _ = multiset_index_reference(m, n)
+    args = optable_module._multiset_args(m, n)
+    assert args.tolist() == [list(c) for c in multisets]
+    assert np.array_equal(optable_module._orbit_of(m, n), orbit_of)
+    rng = random.Random(m * 10 + n)
+    inverse = np.array([rng.sample(range(m), m) for _ in range(6)], dtype=np.intp)
+    codes = inverse[:, args] @ (m ** np.arange(n - 1, -1, -1))
+    for bound in (1, 2**62):
+        with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
+            source = optable_module._relabel_source(inverse, m, n, len(multisets))
+        assert np.array_equal(source, orbit_of[codes])
 
 
 def test_canonical_form_is_invariant(f2):
