@@ -16,12 +16,11 @@ import numpy as np
 from .errors import ConsistencyError, InputError, ResourceError
 from .bandcore import QuotientSemilattice
 from .optable import (
-    _CHUNK_CELLS,
     OpTable,
     _canonical_forms,
     _canonical_orbits,
-    _orbit_of,
     _passes,
+    _require_index,
     symmetric_table,
 )
 from .structure import StrongSystem, _compose_orbits, _compose_system, require_valid_system
@@ -399,7 +398,7 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
     if system.size == 1:
         return OpTable(n, 1, (0,))  # every one-element system is valid
-    _orbit_of(system.size, n)  # refuses an unindexable n before n-step group checks
+    _require_index(system.size, n)  # builds nothing, before n-step group checks
     if verify:
         require_valid_system(system, n)
     return _compose_system(system, n, [v for g in system.groups for v in g.cayley.values])
@@ -431,8 +430,6 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
         raise ResourceError(f"enumeration supports at most {ENUMERATE_SIZE_LIMIT} elements")
     if m == 1:
         return BandCatalog(1, n, (b"\0",), 1, 1)
-    if math.comb(m + n - 1, n) * n > _CHUNK_CELLS:  # one relabeling holds all its arguments
-        raise ResourceError(f"one relabeling at arity {n} passes {_CHUNK_CELLS} arguments")
     blocks = []
     for sizes in _compositions(m):
         options = [

@@ -167,12 +167,11 @@ def check_associative(t: OpTable) -> AssociativityWitness | None:
 
     The scan compares adjacent nestings over all (2n-1)-argument tuples,
     rightmost nesting pair first (matching the right-nested extension
-    recursion), tuples in lexicographic order within each pair.  For a
-    symmetric table one nesting comparison suffices, so only the rightmost
-    pair is scanned.
+    recursion), tuples in lexicographic order within each pair.
     """
-    n = t.arity
-    return _assoc_scan(t, [n - 2] if _orbit_values(t) is not None else range(n - 2, -1, -1))
+    n = t.arity  # a binary table has one pair, so its symmetry is not read
+    symmetric = n == 2 or _orbit_values(t) is not None  # then one pair suffices
+    return _assoc_scan(t, [n - 2] if symmetric else range(n - 2, -1, -1))
 
 
 def _read_only(*arrays) -> None:
@@ -201,39 +200,62 @@ def _passes(size: int, arity: int, limit: int) -> bool:
 def _multiset_args(size: int, arity: int) -> "np.ndarray":
     """The sorted argument tuple of each multiset, in the flat order of the
     sorted tuples (combinations_with_replacement's), each the first cell of
-    its multiset: symmetric tables compare like their multiset values."""
+    its multiset: symmetric tables compare like their multiset values.
+    ResourceError if they hold more than _CHUNK_CELLS arguments: one
+    relabeling chunk holds at least one permutation's."""
+    count = math.comb(size + arity - 1, arity)
+    if count * arity > _CHUNK_CELLS:
+        raise ResourceError(
+            f"the {count} argument multisets of arity {arity} hold over {_CHUNK_CELLS} arguments"
+        )
     rows = itertools.combinations_with_replacement(range(size), arity)
     args = np.array(list(rows), dtype=np.intp)
     _read_only(args)
     return args
 
 
-def _rank(args: "np.ndarray", size: int) -> "np.ndarray":
-    """The multiset number of each sorted argument tuple a (args[k] holds
-    argument k): the sorted tuples before a.  Those that agree with a before
-    k and are smaller at k number prefix[k, a_k] - prefix[k, a_(k-1)], with
-    prefix[k, v] the tails of n-k-1 values from u..size-1 summed over u < v
-    (Knuth, TAOCP 4A, 7.2.1.3)."""
-    n = len(args)
-    tails = [[math.comb(size - u + n - k - 2, n - k - 1) for u in range(size)] for k in range(n)]
-    prefix = np.zeros((n, size + 1), dtype=np.intp)
-    np.cumsum(tails, axis=1, out=prefix[:, 1:])
-    rank = prefix[0][args[0]]
-    for k in range(1, n):
-        rank += prefix[k][args[k]] - prefix[k][args[k - 1]]
+@lru_cache(maxsize=64)
+def _multiset_counts(size: int, arity: int) -> "np.ndarray":
+    """counts[v, j]: how many arguments of multiset j (_multiset_args) are v."""
+    args = _multiset_args(size, arity)
+    counts = np.stack([(args == v).sum(axis=1) for v in range(size)])
+    _read_only(counts)
+    return counts
+
+
+def _rank(at_most, size: int, arity: int) -> "np.ndarray":
+    """The multiset number of each argument multiset: the sorted tuples
+    before its own, a.  Those first below a at argument k hold there a w
+    with a_(k-1) <= w < a_k, so k = at_most[w] (how many of a's arguments
+    are at most w, w < size - 1), then any of C(size-w+arity-k-2,
+    arity-k-1) sorted tails from w up (Knuth, TAOCP 4A, 7.2.1.3)."""
+    rank = np.zeros(1, dtype=np.intp)  # one element: one multiset
+    for w, k in enumerate(at_most):
+        tails = [math.comb(size - w + arity - j - 2, arity - j - 1) for j in range(arity)]
+        rank = rank + np.array([*tails, 0], dtype=np.intp)[k]
     return rank
+
+
+def _require_index(size: int, arity: int) -> None:
+    """ResourceError if size**arity argument tuples pass the largest np.intp
+    index; builds nothing."""
+    if _passes(size, arity, np.iinfo(np.intp).max):
+        raise ResourceError(f"an index of {size}**{arity} argument tuples passes the array limit")
 
 
 @lru_cache(maxsize=64)
 def _orbit_of(size: int, arity: int) -> "np.ndarray":
     """orbit_of[j]: the multiset number of the j-th argument tuple in flat
-    order, for code that gathers or scatters a dense table.  ResourceError
-    past the largest np.intp index."""
-    if _passes(size, arity, np.iinfo(np.intp).max):
-        raise ResourceError(f"an index of {size}**{arity} argument tuples passes the array limit")
-    digits = _digits(size, arity)
-    digits.sort(axis=0)
-    orbit_of = _rank(digits, size)
+    order, for code that gathers or scatters a dense table."""
+    _require_index(size, arity)
+
+    def at_most(w):  # per argument tuple, its arguments at most w, one at a time
+        count = np.zeros(1, dtype=np.min_scalar_type(arity))
+        for _ in range(arity):
+            count = np.add.outer(np.arange(size) <= w, count).ravel()
+        return count
+
+    orbit_of = _rank(map(at_most, range(size - 1)), size, arity)
     _read_only(orbit_of)
     return orbit_of
 
@@ -244,8 +266,7 @@ def symmetric_table(arity: int, size: int, orbit_values) -> OpTable:
 
 
 def _orbit_values(t: OpTable) -> "np.ndarray | None":
-    """t's values on its argument multisets, or None if t is not symmetric:
-    each multiset takes one of its cells' values, compared back on all."""
+    """t's values on its argument multisets, or None if t is not symmetric."""
     orbit_of = _orbit_of(t.size, t.arity)
     values = np.asarray(t.values, dtype=np.intp)
     orbit = np.empty(orbit_of[-1] + 1, dtype=np.intp)
@@ -362,20 +383,18 @@ def _relabel_source(inverse: "np.ndarray", size: int, arity: int, cells: int) ->
     """source[p, j]: the cell whose value relabeling by the permutation
     with inverse inverse[p] moves to cell j.  There is one cell per
     argument multiset, or per argument tuple if there are size**arity.
-    Moved multisets are looked up in the dense map if its size**arity
-    cells fit one chunk, else sorted and ranked, building nothing dense."""
-    symmetric = cells != size**arity
-    args = _multiset_args(size, arity).T if symmetric else _digits(size, arity)
+    The source of multiset j, j moved by the inverse, is ranked from
+    counts, building nothing dense: it has as many arguments at most w as
+    j has among perm[0..w], perm the permutation itself."""
     inverse = np.asarray(inverse, dtype=np.intp)
-    if symmetric and _passes(size, arity, _CHUNK_CELLS):
-        # moved[p, k, j]: argument k of multiset j moved by permutation p
-        moved = inverse[:, args]
-        moved.sort(axis=1)
-        return _rank(moved.swapaxes(0, 1), size)
+    if cells != size**arity:
+        counts, perms = _multiset_counts(size, arity), np.argsort(inverse, axis=1)
+        at_most = itertools.accumulate(counts[perms[:, u]] for u in range(size - 1))
+        return _rank(at_most, size, arity)
     code = 0
-    for row, stride in zip(args, _strides(size, arity)):
+    for row, stride in zip(_digits(size, arity), _strides(size, arity)):
         code = code + inverse[:, row] * stride
-    return _orbit_of(size, arity)[code] if symmetric else code
+    return code
 
 
 @lru_cache(maxsize=2)

@@ -349,7 +349,7 @@ def test_oracle_bands_budget(capsys):
         ),
         (
             ("enumerate", "--size", "2", "--arity", "1000000000", "--count-only"),
-            "one relabeling at arity 1000000000 passes 1048576 arguments",
+            "the 1000000001 argument multisets of arity 1000000000 hold over 1048576 arguments",
         ),
     ],
     ids=["check", "oracle-reductions", "extend", "oracle-bands", "enumerate"],
@@ -395,19 +395,31 @@ def test_unindexable_arity_is_refused_at_once(capsys, tmp_path, argv, arity):
     assert (code, out, err) == (2, "", error)
 
 
+def test_invalid_system_is_refused_before_the_dense_map(capsys, tmp_path):
+    # Z2 has exponent 2, which does not divide 39: compose validates the
+    # system before it builds the dense map over 2**40 argument tuples
+    path = tmp_path / "xor2.json"
+    path.write_text(system_to_json(decompose(table_from_function(3, 2, lambda x, y, z: x ^ y ^ z))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compose", str(path), "--arity", "40")
+    assert time.perf_counter() - start < 1
+    error = "group-exponent: class 0: exponent does not divide 39"
+    assert (code, out, err) == (1, "", f"error: system fails validation: {error}\n")
+
+
 @pytest.mark.parametrize(
     "m, n, counts",
     [(2, 63, (3, 2)), (2, 64, (2, 1)), (3, 22, (10, 3)), (5, 12, (1065, 15))],
 )
 def test_enumerate_count_only_builds_nothing_dense(capsys, monkeypatch, m, n, counts):
-    # m**n cells pass one relabeling chunk, so the multisets are ranked:
-    # neither the dense map nor the digit matrix of arity n is built
+    # relabeled multisets are ranked from their counts: neither the dense
+    # map nor the digit matrix of arity n is built
     asked = []
     for name in ("_orbit_of", "_digits", "_rank"):
         real = getattr(optable_module, name)
 
         def recording(*args, name=name, real=real):
-            asked.append((name, len(args[0]) if name == "_rank" else args[1]))
+            asked.append((name, args[-1]))  # each takes the arity last
             return real(*args)
 
         monkeypatch.setattr(optable_module, name, recording)
@@ -587,9 +599,9 @@ def test_output_flag_writes_file(capsys, tmp_path):
 
 
 def test_memory_error_is_one_line_exit_2():
-    # the full listing's dense map asks numpy for the 22 x 3**22 digit
-    # matrix (690 GiB); under a 3 GiB address-space limit, set in the child
-    # alone, the allocation fails
+    # the full listing's dense map counts arguments over the 3**22
+    # argument tuples, 31 G cells; under a 3 GiB address-space limit, set
+    # in the child alone, an allocation fails
     resource = pytest.importorskip("resource")
 
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,24 @@ def test_counts_depend_on_the_arity_through_the_group_types(m, arities, counts):
     for n in arities:
         catalog = enumerate_bands(m, n)
         assert (catalog.labeled, catalog.iso) == counts
+
+
+@pytest.mark.parametrize(
+    "m, top, alike", [(5, 28, 4), (4, 48, 2), (3, 127, 7), (2, 1023, 3)]
+)
+def test_enumerate_at_the_largest_admitted_arity(m, top, alike):
+    # one relabeling holds the C(m+n-1, n) multisets of n arguments, at
+    # most 2**20 arguments: top is the largest such n.  Each class is
+    # relabeled chunk by chunk, m! permutations in all; top counts like an
+    # arity admitting the same group types, and top + 1 is refused
+    start = time.perf_counter()
+    catalog = enumerate_bands(m, top)
+    assert time.perf_counter() - start < 10
+    expected = enumerate_bands(m, alike)
+    assert (catalog.labeled, catalog.iso) == (expected.labeled, expected.iso)
+    refusal = f"multisets of arity {top + 1} hold over 1048576 arguments$"
+    with pytest.raises(ResourceError, match=refusal):
+        enumerate_bands(m, top + 1)
 
 
 def test_enumerate_one_element_at_any_arity():

@@ -402,8 +402,8 @@ INDEX_SHAPES = [(m, n) for m in range(1, 7) for n in range(2, 9) if m**n <= 3 * 
 @pytest.mark.parametrize("m, n", INDEX_SHAPES, ids=[f"{m}-{n}" for m, n in INDEX_SHAPES])
 def test_multiset_numbering_matches_the_reference(m, n):
     # the multiset list, the dense map and the relabel source of a
-    # symmetric table, the source both looked up in the dense map and
-    # ranked (a chunk bound below and above m**n); seeded permutations
+    # symmetric table, ranked from the moved multisets' counts, on seeded
+    # permutations
     multisets, orbit_of, _ = multiset_index_reference(m, n)
     args = optable_module._multiset_args(m, n)
     assert args.tolist() == [list(c) for c in multisets]
@@ -411,10 +411,8 @@ def test_multiset_numbering_matches_the_reference(m, n):
     rng = random.Random(m * 10 + n)
     inverse = np.array([rng.sample(range(m), m) for _ in range(6)], dtype=np.intp)
     codes = inverse[:, args] @ (m ** np.arange(n - 1, -1, -1))
-    for bound in (1, 2**62):
-        with mock.patch.object(optable_module, "_CHUNK_CELLS", bound):
-            source = optable_module._relabel_source(inverse, m, n, len(multisets))
-        assert np.array_equal(source, orbit_of[codes])
+    source = optable_module._relabel_source(inverse, m, n, len(multisets))
+    assert np.array_equal(source, orbit_of[codes])
 
 
 def test_canonical_form_is_invariant(f2):
@@ -461,13 +459,18 @@ def test_canonical_form_matches_relabelings_on_non_symmetric():
         assert canonical_form(t).values == least_relabeling(t)
 
 
+# the least chunk bound that holds one relabeling of a symmetric (4,3)
+# table, 20 multisets of 3 arguments: every chunk then holds one permutation
+ONE_RELABELING_4_3 = 60
+
+
 def test_canonical_form_chunks_agree(monkeypatch, f2):
     # one permutation per chunk: the minimum is carried across chunks, on
     # the argument multisets of a symmetric table and on every argument
     # tuple of a non-symmetric one
     non_symmetric = table_from_function(3, 4, lambda x, y, z: min(x, y) if z < 2 else z)
     assert check_symmetric(non_symmetric) is not None
-    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", ONE_RELABELING_4_3)
     for t in (f2, non_symmetric):
         expected = least_relabeling(t)
         for perm in ((0, 1, 2, 3), (3, 1, 0, 2), (2, 3, 1, 0)):
@@ -493,7 +496,7 @@ def test_canonical_forms_match_canonical_form(monkeypatch):
     expected = [[canonical_form(t).values for t in tables] for tables in lists]
     for tables, canon in zip(lists, expected):
         assert optable_module._canonical_forms(tables) == canon
-    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(optable_module, "_CHUNK_CELLS", ONE_RELABELING_4_3)
     for tables, canon in zip(lists[3:], expected[3:]):
         assert optable_module._canonical_forms(tables) == canon
 
