@@ -30,8 +30,9 @@ from .optable import (
 )
 from .bandcore import classify
 from .structure import decompose, system_from_json, system_to_json
-from .compose import brute_force_bands, compose, enumerate_bands
+from .compose import BRUTE_CANDIDATE_BUDGET, brute_force_bands, compose, enumerate_bands
 from .reduce import (
+    REDUCTION_CANDIDATE_BUDGET,
     Reduction,
     brute_force_reductions,
     decide_reducible,
@@ -278,8 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
+    nodes = f"2^{REDUCTION_CANDIDATE_BUDGET.bit_length() - 1} nodes"
     q = oracle_sub.add_parser(
-        "reductions", parents=[out_flag], help="find reductions by a forcing search (2^21 nodes)"
+        "reductions", parents=[out_flag], help=f"find reductions by a forcing search ({nodes})"
     )
     q.add_argument("file", help="operation table JSON ('-' for stdin)")
     q.add_argument(
@@ -288,8 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="search non-symmetric tables too (same node budget)",
     )
     q.set_defaults(func=cmd_oracle_reductions)
+    nodes = f"2^{BRUTE_CANDIDATE_BUDGET.bit_length() - 1} nodes"
     q = oracle_sub.add_parser(
-        "bands", parents=[out_flag], help="find every band by backtracking search"
+        "bands", parents=[out_flag], help=f"find every band by backtracking search ({nodes})"
     )
     q.add_argument("--size", type=int, required=True)
     q.add_argument("--arity", type=int, required=True)

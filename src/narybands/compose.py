@@ -176,24 +176,24 @@ def _closed_catalog(m: int, n: int, orbits: "np.ndarray") -> BandCatalog:
     return _catalog(m, n, classes, up_to_iso=False)
 
 
-def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDGET) -> BandCatalog:
+def brute_force_bands(m: int, n: int) -> BandCatalog:
     """Independent oracle: every symmetric idempotent associative table,
     found by backtracking over its values on argument multisets.
 
     Symmetric F is associative iff G(A, B) = F({F(A)} + B) depends only on
     A + B (n-multiset A, (n-1)-multiset B).  Each value tried for a free
     multiset is a search node; it registers G under A + B for the pairs it
-    makes evaluable, and a clash prunes.  ResourceError past max_candidates
-    nodes, or up front when the shortest search (free multisets times
-    choices of B) or one table (m^n cells) is larger.  Shares no code with
-    check_associative or the structure theory.
+    makes evaluable, and a clash prunes.  ResourceError past
+    BRUTE_CANDIDATE_BUDGET nodes, or up front when the shortest search
+    (free multisets times choices of B) or one table (m^n cells) is larger.
+    Shares no code with check_associative or the structure theory.
     """
     if not isinstance(m, int) or m < 1 or not isinstance(n, int) or n < 2:
         raise InputError("need size >= 1 and arity >= 2")
-    free = math.comb(m + n - 1, n) - m
-    if _passes(m, n, max_candidates) or free * math.comb(m + n - 2, n - 1) > max_candidates:
+    budget, free = BRUTE_CANDIDATE_BUDGET, math.comb(m + n - 1, n) - m
+    if _passes(m, n, budget) or free * math.comb(m + n - 2, n - 1) > budget:
         raise ResourceError(
-            f"searching {free} multisets of {m}**{n}-cell tables exceeds budget {max_candidates}"
+            f"searching {free} multisets of {m}**{n}-cell tables exceeds budget {budget}"
         )
     # multiplicities in base 2n code a multiset, so codes add like multisets
     unit = [(2 * n) ** x for x in range(m)]
@@ -240,8 +240,8 @@ def brute_force_bands(m: int, n: int, max_candidates: int = BRUTE_CANDIDATE_BUDG
             bands.append(values.copy())
         elif v < m:
             nodes += 1
-            if nodes > max_candidates:
-                raise ResourceError(f"band search passed the budget of {max_candidates} nodes")
+            if nodes > budget:
+                raise ResourceError(f"band search passed the budget of {budget} nodes")
             v = 0 if assign(order[depth], v) else v + 1
             continue
         if depth == 0:

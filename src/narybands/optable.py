@@ -334,12 +334,13 @@ def require_band(t: OpTable) -> None:
         raise DomainError(f"operation is not {law}: witness {witness}", axiom=law, witness=witness)
 
 
-def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTable:
+def extend(t: OpTable, times: int) -> OpTable:
     """Iterated extension: fold `times` nested applications into one table.
 
     The result has arity times*(n-1) + 1 and agrees with right-nesting t
     into itself; times=1 returns t unchanged.  Extension preserves
-    associativity, symmetry, and idempotency.
+    associativity, symmetry, and idempotency.  ResourceError before
+    anything is allocated if the result has over EXTEND_CELL_BUDGET cells.
     """
     if not isinstance(times, int) or times < 1:
         raise InputError(f"extension count must be a positive integer, got {times!r}")
@@ -347,9 +348,9 @@ def extend(t: OpTable, times: int, max_cells: int = EXTEND_CELL_BUDGET) -> OpTab
     out_arity = times * (n - 1) + 1
     if m == 1:
         return OpTable(out_arity, 1, t.values)
-    if _passes(m, out_arity, max_cells):
+    if _passes(m, out_arity, EXTEND_CELL_BUDGET):
         raise ResourceError(
-            f"extension table would need {m}**{out_arity} cells (budget {max_cells})"
+            f"extension table would need {m}**{out_arity} cells (budget {EXTEND_CELL_BUDGET})"
         )
     inner = np.asarray(t.values, dtype=np.intp)
     current = inner

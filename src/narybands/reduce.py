@@ -52,9 +52,7 @@ class Irreducible:
     reducible = False
 
 
-def build_reduction(
-    system: StrongSystem, selection: NeutralSelection, arity: int | None = None
-) -> OpTable:
+def build_reduction(system: StrongSystem, selection: NeutralSelection) -> OpTable:
     """Binary table G(x, y): meet the two classes, map both arguments down,
     multiply in the class group re-based at the selected neutral e, where
     x . y = x * y * e^(n-2).  That is the system composed at arity 2
@@ -63,9 +61,6 @@ def build_reduction(
     The selection must be coherent (element of each class, preserved by
     every connecting map); violations raise InputError.
     """
-    n = system.arity if arity is None else arity
-    if not isinstance(n, int) or n < 2:
-        raise InputError(f"arity must be an integer >= 2, got {n!r}")
     k = system.quotient.size
     chosen = selection.by_class
     if len(chosen) != k:
@@ -83,15 +78,13 @@ def build_reduction(
     for g, e in zip(system.groups, chosen):
         e_pos = g.position(e)
         for r in g.cayley.values:
-            for _ in range(n - 2):
+            for _ in range(system.arity - 2):
                 r = g.op_position(r, e_pos)
             rebased.append(r)
     return _compose_system(system, 2, rebased)
 
 
-def decide_reducible(
-    system: StrongSystem, arity: int | None = None, verify: bool = True
-):
+def decide_reducible(system: StrongSystem, verify: bool = True):
     """Search for a coherent neutral selection; Reduction on success,
     Irreducible with the forced-image conflict otherwise.
 
@@ -99,9 +92,8 @@ def decide_reducible(
     the reported selection is deterministic; lower classes are forced to
     the intersection of the images of what is already chosen.
     """
-    n = system.arity if arity is None else arity
     if verify:
-        require_valid_system(system, n)
+        require_valid_system(system)
     k, image = system.quotient.size, system.image
     uppers = system.quotient.uppers
     order = sorted(range(k), key=lambda c: (len(uppers[c]), c))
@@ -137,7 +129,7 @@ def decide_reducible(
 
     if search(0):
         chosen = NeutralSelection(tuple(selection))
-        return Reduction(chosen, build_reduction(system, chosen, n))
+        return Reduction(chosen, build_reduction(system, chosen))
     witness = min(failures)
     images, sources = failures[witness]
     return Irreducible(witness, tuple(sorted(images)), tuple(sorted(sources)))
@@ -167,24 +159,20 @@ def verify_reduction(t: OpTable, reduction: OpTable) -> list[Violation]:
     return out
 
 
-def brute_force_reductions(
-    t: OpTable,
-    symmetric_only: bool = True,
-    max_candidates: int = REDUCTION_CANDIDATE_BUDGET,
-) -> list[OpTable]:
+def brute_force_reductions(t: OpTable, symmetric_only: bool = True) -> list[OpTable]:
     """Every associative binary table G whose (arity-1)-fold extension is t,
     sorted by values; symmetric G only unless symmetric_only is False (any
     reduction of a symmetric band is symmetric).  Backtracking over G's
     cells, forcing to a fixpoint: once v = G(s1, G(s2, ...)) is known for an
     (arity-1)-suffix s, the row G(., v) must equal t(., s).  Each value tried
-    at a free cell is a node; ResourceError past max_candidates nodes, or up
-    front when one forcing pass (m^(arity-1) suffixes) is larger.  Shares no
-    code with the structure theory."""
-    m, n = t.size, t.arity
+    at a free cell is a node; ResourceError past REDUCTION_CANDIDATE_BUDGET
+    nodes, or up front when one forcing pass (m^(arity-1) suffixes) is
+    larger.  Shares no code with the structure theory."""
+    m, n, budget = t.size, t.arity, REDUCTION_CANDIDATE_BUDGET
     width = m ** (n - 1)
-    if width > max_candidates:
+    if width > budget:
         raise ResourceError(
-            f"one forcing pass over {m}**{n - 1} = {width} suffixes exceeds the budget {max_candidates}"
+            f"one forcing pass over {m}**{n - 1} = {width} suffixes exceeds the budget {budget}"
         )
     values, cells = t.values, m * m
     twin = [(i % m) * m + i // m if symmetric_only else i for i in range(cells)]
@@ -227,8 +215,8 @@ def brute_force_reductions(
             continue
         for v in range(m):
             nodes += 1
-            if nodes > max_candidates:
-                raise ResourceError(f"reduction search passed the budget of {max_candidates} nodes")
+            if nodes > budget:
+                raise ResourceError(f"reduction search passed the budget of {budget} nodes")
             h = g.copy()
             h[cell] = h[twin[cell]] = v
             stack.append((h, pending))

@@ -239,11 +239,11 @@ class StrongSystem:
     """Semilattice of classes, a group per class, coherent connecting maps.
 
     partition splits the m elements into k classes, quotient orders them
-    and groups holds one ClassGroup per class; arity is the n validation
-    and composition default to.  image holds every connecting map as one
-    flat m x k matrix of elements: image[x * k + c] is the image of x in
-    class c if c is at or below the class of x, else -1.  homs views it as
-    one HomMap per comparable pair.
+    and groups holds one ClassGroup per class; arity is the n reducibility
+    is decided at and validation and composition default to.  image holds
+    every connecting map as one flat m x k matrix of elements:
+    image[x * k + c] is the image of x in class c if c is at or below the
+    class of x, else -1.  homs views it as one HomMap per comparable pair.
     """
 
     arity: int

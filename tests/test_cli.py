@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -23,6 +24,8 @@ from narybands import (
 from narybands.cli import main
 
 optable_module = importlib.import_module("narybands.optable")
+compose_module = importlib.import_module("narybands.compose")
+reduce_module = importlib.import_module("narybands.reduce")
 
 from conftest import NON_BAND_DOCS
 
@@ -637,3 +640,33 @@ def test_benchmark_stage_names_exist():
         module = importlib.import_module(f"narybands.{stage.split('.')[0]}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{stage}: {module.__name__}.{name}"
+
+
+def test_readme_limits_equal_the_constants():
+    # every limit the README states as "N <unit> (`module.CONSTANT`" is
+    # that constant's value, and its limits paragraph names all five
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    limits = readme.split("## Limits and determinism")[1]
+    pattern = r"(\d+(?:\^\d+)?)\s+(?:cells|elements|search\s+nodes)\s+\(`(\w+)\.([A-Z_]+)`"
+    stated = re.findall(pattern, readme)
+    assert {name for _, _, name in re.findall(pattern, limits)} == {
+        "EXTEND_CELL_BUDGET",
+        "CANONICAL_SIZE_LIMIT",
+        "ENUMERATE_SIZE_LIMIT",
+        "BRUTE_CANDIDATE_BUDGET",
+        "REDUCTION_CANDIDATE_BUDGET",
+    }
+    for number, module, name in stated:
+        base, _, power = number.partition("^")
+        value = int(base) ** int(power or 1)
+        assert value == getattr(importlib.import_module(f"narybands.{module}"), name), name
+
+
+def test_oracle_help_states_the_budgets(capsys):
+    code, help_text, _ = run(capsys, "oracle", "--help")
+    assert code == 0
+    stated = dict(re.findall(r"(reductions|bands)\s.*\(2\^(\d+) nodes\)", help_text))
+    assert {oracle: 2 ** int(power) for oracle, power in stated.items()} == {
+        "reductions": reduce_module.REDUCTION_CANDIDATE_BUDGET,
+        "bands": compose_module.BRUTE_CANDIDATE_BUDGET,
+    }

@@ -676,13 +676,16 @@ def test_brute_force_golden_counts():
     assert values == {ternary_min.values, ternary_max.values, ternary_xor.values}
 
 
-def test_brute_force_respects_budget():
+def test_brute_force_respects_budget(monkeypatch):
     # the budget counts search nodes: (4,3) needs 6,124 and (6,3) passes
-    # the default 2**21
+    # the default 2**21; the search reads the constant when it runs
+    monkeypatch.setattr(compose_module, "BRUTE_CANDIDATE_BUDGET", 1000)
     with pytest.raises(ResourceError, match="1000 nodes"):
-        brute_force_bands(4, 3, max_candidates=1000)
+        brute_force_bands(4, 3)
+    monkeypatch.setattr(compose_module, "BRUTE_CANDIDATE_BUDGET", 10_000)
     with pytest.raises(ResourceError, match="10000 nodes"):
-        brute_force_bands(6, 3, max_candidates=10_000)
+        brute_force_bands(6, 3)
+    monkeypatch.undo()
     # refused before any search: the (2,30) tables have 2**30 cells each
     with pytest.raises(ResourceError, match="exceeds budget"):
         brute_force_bands(2, 30)

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -352,6 +353,22 @@ def test_extend_budget():
     base = table_from_function(2, 3, lambda x, y: min(x, y))
     with pytest.raises(ResourceError):
         extend(base, 30)
+
+
+def test_extend_budget_is_read_when_it_runs(monkeypatch):
+    # 3**13 cells pass the default budget; patched to 1000, extend refuses
+    # them naming that budget, before it builds any part of the table
+    base = table_from_function(2, 3, lambda x, y: min(x, y))
+    monkeypatch.setattr(optable_module, "EXTEND_CELL_BUDGET", 1000)
+    message = r"^extension table would need 3\*\*13 cells \(budget 1000\)$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=message):
+            extend(base, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_neutral_elements():

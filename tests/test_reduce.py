@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from types import SimpleNamespace
 
@@ -33,6 +34,8 @@ from narybands import (
 )
 
 from references import build_reduction_reference, reductions_reference
+
+reduce_module = importlib.import_module("narybands.reduce")
 
 F2_REDUCTION_ROWS = (0, 3, 2, 3, 3, 1, 2, 3, 2, 2, 3, 2, 3, 3, 2, 3)
 
@@ -139,22 +142,25 @@ def test_brute_force_binary_input(catalog_n2):
         assert [g.values for g in brute_force_reductions(t)] == [t.values]
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
     # the constant ternary table on 4 elements has 22 symmetric reductions
-    # and takes more search nodes than its 16 suffixes
+    # and takes more search nodes than its 16 suffixes; the search reads
+    # the budget constant when it runs
     zero = table_from_function(3, 4, lambda *a: 0)
     assert len(brute_force_reductions(zero)) == 22
+    monkeypatch.setattr(reduce_module, "REDUCTION_CANDIDATE_BUDGET", 40)
     with pytest.raises(ResourceError, match="^reduction search passed the budget of 40 nodes$"):
-        brute_force_reductions(zero, max_candidates=40)
+        brute_force_reductions(zero)
 
 
-def test_reduction_search_budget_up_front():
+def test_reduction_search_budget_up_front(monkeypatch):
     # 2**39 suffixes exceed the default budget; refused before the table's
     # values are read, so a bare size and arity suffice
     with pytest.raises(ResourceError, match=r"2\*\*39 = 549755813888 suffixes"):
         brute_force_reductions(SimpleNamespace(size=2, arity=40))
+    monkeypatch.setattr(reduce_module, "REDUCTION_CANDIDATE_BUDGET", 26)
     with pytest.raises(ResourceError, match="suffixes"):
-        brute_force_reductions(table_from_function(4, 3, lambda *a: min(a)), max_candidates=26)
+        brute_force_reductions(table_from_function(4, 3, lambda *a: min(a)))
 
 
 def test_reduction_search_runs_past_the_old_scan():
