@@ -246,9 +246,11 @@ def classify(t: OpTable, verify: bool = True) -> Classification:
 
     A one-element table is reported as a group extension.
     """
-    k = sigma_partition(t, verify=verify).size
-    if k == 1:
+    return _classification(sigma_partition(t, verify=verify).size, t.size)
+
+
+def _classification(classes: int, size: int) -> Classification:
+    """The classification of a band of size elements in that many classes."""
+    if classes == 1:
         return Classification.GROUP_EXTENSION
-    if k == t.size:
-        return Classification.SEMILATTICE_EXTENSION
-    return Classification.GENERAL
+    return Classification.SEMILATTICE_EXTENSION if classes == size else Classification.GENERAL

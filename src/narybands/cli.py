@@ -28,7 +28,7 @@ from .optable import (
     table_from_json,
     table_to_json,
 )
-from .bandcore import classify
+from .bandcore import _classification
 from .structure import decompose, system_from_json, system_to_json
 from .compose import BRUTE_CANDIDATE_BUDGET, brute_force_bands, compose, enumerate_bands
 from .reduce import (
@@ -59,12 +59,10 @@ def analyze(t: OpTable) -> dict:
     if witnesses:
         doc["witnesses"] = witnesses
         return doc
-    doc["classification"] = classify(t, verify=False).value
     system = decompose(t, verify=False)
-    k = system.quotient.size
-    meet = system.quotient.meet.values
+    doc["classification"] = _classification(system.partition.size, t.size).value
     doc["classes"] = [list(c) for c in system.partition.classes]
-    doc["meet"] = [list(meet[a * k : (a + 1) * k]) for a in range(k)]
+    doc["meet"] = system._meet.tolist()
     doc["groups"] = [
         {"class": g.class_index, "neutral": g.neutral, "signature": list(g.factor_signature)}
         for g in system.groups

@@ -401,7 +401,7 @@ def compose(system: StrongSystem, arity: int | None = None, verify: bool = True)
     _require_index(system.size, n)  # builds nothing, before n-step group checks
     if verify:
         require_valid_system(system, n)
-    return _compose_system(system, n, [v for g in system.groups for v in g.cayley.values])
+    return _compose_system(system, n, system._cayleys)
 
 
 def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:

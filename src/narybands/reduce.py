@@ -9,9 +9,11 @@ checking.  The independent oracle is a forcing search over binary tables.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
-from .structure import StrongSystem, _compose_system, require_valid_system
+from .structure import StrongSystem, _compose_system, _map_power, require_valid_system
 
 REDUCTION_CANDIDATE_BUDGET = 2**21
 
@@ -76,12 +78,10 @@ def build_reduction(system: StrongSystem, selection: NeutralSelection) -> OpTabl
             )
     rebased = []
     for g, e in zip(system.groups, chosen):
-        e_pos = g.position(e)
-        for r in g.cayley.values:
-            for _ in range(system.arity - 2):
-                r = g.op_position(r, e_pos)
-            rebased.append(r)
-    return _compose_system(system, 2, rebased)
+        table = np.reshape(g.cayley.values, (g.order, g.order))
+        times_e = _map_power(table[:, g.position(e)], system.arity - 2)  # p -> p * e^(n-2)
+        rebased.append(times_e[table].ravel())
+    return _compose_system(system, 2, np.concatenate(rebased))
 
 
 def decide_reducible(system: StrongSystem, verify: bool = True):

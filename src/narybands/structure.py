@@ -9,7 +9,6 @@ validates a system given independently, and serializes both ways.
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .optable import (
     OpTable,
     _multiset_args,
     _orbit_values,
+    _read_only,
     _strides,
     check_associative,
     check_symmetric,
@@ -73,10 +73,21 @@ class ClassGroup:
 
     def power_position(self, i: int, count: int) -> int:
         """count-fold product of the element at position i (count >= 1)."""
-        acc = i
-        for _ in range(count - 1):
-            acc = self.op_position(acc, i)
-        return acc
+        times_i = np.reshape(self.cayley.values, (self.order, self.order))[:, i]
+        return int(_map_power(times_i, count - 1)[i])
+
+
+def _map_power(f, count: int) -> "np.ndarray":
+    """The maps f (arrays of positions along the last axis) each applied
+    count >= 0 times, by log2(count) squarings: composing maps is
+    associative, so this is the step-by-step power also off a group."""
+    cells = np.arange(f.size).reshape(f.shape)  # map r's position p is r * k + p
+    step, out = f + cells - cells % f.shape[-1], cells
+    while count:
+        if count & 1:
+            out = step.ravel()[out]
+        step, count = step.ravel()[step], count >> 1
+    return out % f.shape[-1]
 
 
 def _orders(values, size, neutral):
@@ -159,10 +170,9 @@ def _failed_group_laws(cayley: OpTable, e_pos: int, n: int):
         yield "group-associative", "operation is not associative"
     if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
         yield "group-inverse", "some element has no inverse"
-    powers = list(range(k))
-    for _ in range(n - 2):
-        powers = [cay[p * k + i] for i, p in enumerate(powers)]
-    if any(p != e_pos for p in powers):
+    # row i of the transpose maps p to p * i: i^(n-1) is its (n-2)-th power at i
+    powers = _map_power(np.reshape(cay, (k, k)).T, n - 2).diagonal()
+    if (powers != e_pos).any():
         yield "group-exponent", f"exponent does not divide {n - 1}"
 
 
@@ -207,34 +217,6 @@ def class_group(t: OpTable, members, e: int | None = None, index: int = 0) -> Cl
 
 
 @dataclass(frozen=True)
-class HomMap:
-    """Connecting map between two classes, stored as (source, image) pairs
-    over global element indices, sorted by source."""
-
-    from_class: int
-    to_class: int
-    mapping: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        items = self.mapping.items() if isinstance(self.mapping, dict) else self.mapping
-        pairs = tuple(sorted((int(a), int(b)) for a, b in items))
-        object.__setattr__(self, "mapping", pairs)
-        image = dict(pairs)
-        if len(image) != len(pairs):
-            raise InputError("mapping has a repeated source element")
-        object.__setattr__(self, "_image", image)
-
-    def apply(self, x: int) -> int:
-        try:
-            return self._image[x]
-        except KeyError:
-            raise InputError(f"element {x} is outside the map's source class") from None
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mapping)
-
-
-@dataclass(frozen=True)
 class StrongSystem:
     """Semilattice of classes, a group per class, coherent connecting maps.
 
@@ -243,7 +225,9 @@ class StrongSystem:
     is decided at and validation and composition default to.  image holds
     every connecting map as one flat m x k matrix of elements:
     image[x * k + c] is the image of x in class c if c is at or below the
-    class of x, else -1.  homs views it as one HomMap per comparable pair.
+    class of x, else -1.  Built, a system holds its data as the three
+    read-only arrays _compose_orbits takes: _image, the m x k matrix; _meet,
+    the k x k meet; _cayleys, the class tables laid end to end.
     """
 
     arity: int
@@ -268,26 +252,41 @@ class StrongSystem:
                 raise InputError(f"group {i} members disagree with the partition")
         if len(image) != m * k:
             raise InputError(f"image must have {m} x {k} cells, got {len(image)}")
-        class_of, leq = self.partition.class_of, self.quotient.leq
-        if [v != -1 for v in image] != [leq(c, a) for a in class_of for c in range(k)]:
+        # an image outside -1..m-1 reads as m, an element of no class
+        matrix = np.array([v if -1 <= v < m else m for v in image], dtype=np.intp).reshape(m, k)
+        meet = np.array(self.quotient.meet.values, dtype=np.intp).reshape(k, k)
+        class_of, classes = np.asarray(self.partition.class_of), np.arange(k)
+        below = meet[class_of] == classes  # below[x, c]: c is at or below the class of x
+        if ((matrix != -1) != below).any():
             raise InputError("homs must cover exactly the comparable class pairs")
-        for a, b in self.quotient.comparable_pairs():
-            images = (image[x * k + b] for x in self.partition.classes[a])
-            if any(not 0 <= y < m or class_of[y] != b for y in images):
-                raise InputError(f"hom ({a}, {b}) maps outside class {b}")
+        xs, cs = (below & (np.append(class_of, k)[matrix] != classes)).nonzero()
+        if len(xs):
+            a, b = min(zip(class_of[xs].tolist(), cs.tolist()))
+            raise InputError(f"hom ({a}, {b}) maps outside class {b}")
+        cayleys = np.array([v for g in groups for v in g.cayley.values], dtype=np.intp)
+        _read_only(matrix, meet, cayleys)
+        object.__setattr__(self, "_image", matrix)
+        object.__setattr__(self, "_meet", meet)
+        object.__setattr__(self, "_cayleys", cayleys)
 
     @property
     def size(self) -> int:
         return len(self.partition.class_of)
 
-    @cached_property
-    def homs(self) -> dict[tuple[int, int], HomMap]:
-        """The maps as HomMap views keyed (upper, lower), (i, i) included."""
-        k, image, classes = self.partition.size, self.image, self.partition.classes
-        return {
-            (a, b): HomMap(a, b, tuple((x, image[x * k + b]) for x in classes[a]))
-            for a, b in self.quotient.comparable_pairs()
-        }
+
+def _products(members, cayleys) -> "np.ndarray":
+    """The class groups of each system as one table of elements: product[s,
+    x, y] is x * y when x and y share a class, else 0.  Class c has the
+    elements members[c]; cayleys[s] lays system s's class tables end to end."""
+    cayley = np.asarray(cayleys, dtype=np.intp)
+    m = sum(map(len, members))
+    product = np.zeros((len(cayley), m, m), dtype=np.intp)
+    start = 0
+    for c in map(np.asarray, members):
+        table = cayley[:, start : start + len(c) ** 2].reshape(-1, len(c), len(c))
+        product[:, c[:, None], c] = c[table]
+        start += len(c) ** 2
+    return product
 
 
 def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
@@ -307,16 +306,8 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     args = _multiset_args(m, n)
     arg_classes = np.asarray(class_of, dtype=np.intp)[args]
     meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
-    cayley = np.asarray(cayleys, dtype=np.intp).reshape(len(meet), -1)
+    product = _products(members, np.reshape(cayleys, (len(meet), -1)))
     image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
-    # the class groups as one table of elements per system: product[s, x, y]
-    # is x * y when x and y share a class (other cells are never read)
-    product = np.zeros((len(meet), m, m), dtype=np.intp)
-    start = 0
-    for c in map(np.asarray, members):
-        table = cayley[:, start : start + len(c) ** 2].reshape(-1, len(c), len(c))
-        product[:, c[:, None], c] = c[table]
-        start += len(c) ** 2
     row = np.arange(len(meet))[:, None]
     alpha = arg_classes[:, 0]
     for j in range(1, n):
@@ -331,14 +322,23 @@ def _compose_system(system: StrongSystem, n: int, cayleys) -> OpTable:
     """The symmetric table of arity n composed from system (_compose_orbits)
     through the class tables cayleys: flat tables of positions laid end to
     end in class order, the class groups' own or re-based ones."""
-    p, meet = system.partition, system.quotient.meet.values
-    orbits = _compose_orbits(n, p.class_of, p.classes, [meet], [cayleys], [system.image])
+    p = system.partition
+    orbits = _compose_orbits(n, p.class_of, p.classes, system._meet, cayleys, system._image)
     return symmetric_table(n, system.size, orbits[0])
 
 
-def hom_maps(t: OpTable, verify: bool = True) -> dict[tuple[int, int], HomMap]:
-    """Connecting maps of t keyed (upper, lower): decompose(t, verify).homs."""
-    return decompose(t, verify).homs
+def _pair_maps(system: StrongSystem) -> dict[tuple[int, int], dict[int, int]]:
+    """The connecting maps keyed (upper, lower), (i, i) included, each as
+    {x: image of x} over the upper class, read from system's image matrix."""
+    rows, classes = system._image.tolist(), system.partition.classes
+    pairs = system.quotient.comparable_pairs()
+    return {(a, b): {x: rows[x][b] for x in classes[a]} for a, b in pairs}
+
+
+def hom_maps(t: OpTable, verify: bool = True) -> dict[tuple[int, int], dict[int, int]]:
+    """Connecting maps of t keyed (upper, lower), (i, i) included, each as
+    {x: image of x} over the upper class, from decompose(t, verify)."""
+    return _pair_maps(decompose(t, verify))
 
 
 def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
@@ -370,9 +370,8 @@ def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
         failed = next(_failed_hom_laws(system, t.arity), None)
         if failed is not None:
             raise ConsistencyError(f"decomposed system fails validation: {': '.join(failed)}")
-        cayleys = [v for g in groups for v in g.cayley.values]
         composed = _compose_orbits(
-            t.arity, partition.class_of, partition.classes, [meet], [cayleys], [image]
+            t.arity, class_of, partition.classes, system._meet, system._cayleys, system._image
         )[0]
         orbits = _orbit_values(t)
         if orbits is None or not np.array_equal(composed, orbits):
@@ -405,30 +404,35 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
 
 def _failed_hom_laws(system: StrongSystem, n: int):
     """validate_system's laws of the connecting maps that system fails at
-    arity n, as (code, message), a generator like _failed_group_laws."""
-    k, image, classes = system.quotient.size, system.image, system.partition.classes
-    pairs = system.quotient.comparable_pairs()
-    for a, b in pairs:
-        if a == b and any(image[x * k + a] != x for x in classes[a]):
+    arity n, as (code, message), a generator like _failed_group_laws; each
+    law is checked by gathers over all the maps at once."""
+    k, image, elements = system.partition.size, system._image, np.arange(system.size)
+    class_of = np.asarray(system.partition.class_of)
+    # (a, b, law): map (a, b) breaks law 0, identity, or law 1: phi is an
+    # n-ary hom between class extensions iff, for x, y in the upper class,
+    # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the lower one
+    failed = {(a, a, 0) for a in class_of[image[elements, class_of] != elements].tolist()}
+    product = _products(system.partition.classes, [system._cayleys])[0]
+    xs, ys = (class_of[:, None] == class_of).nonzero()
+    rhs = product[image[xs], image[ys]]
+    if n > 2:  # power[y] = y^(n-2); row y of the transpose is z -> z * y
+        power = _map_power(product.T, n - 3).diagonal()
+        rhs = product[rhs, power[image[[g.neutral for g in system.groups]]][class_of[xs]]]
+    pairs, lower = ((image[xs] != -1) & (image[product[xs, ys]] != rhs)).nonzero()
+    failed.update((a, b, 1) for a, b in zip(class_of[xs[pairs]].tolist(), lower.tolist()))
+    for a, b, law in sorted(failed):
+        if law == 0:
             yield "hom-identity", f"map ({a}, {a}) is not the identity"
-        # phi is an n-ary hom between class extensions iff
-        # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
-        upper, lower = system.groups[a], system.groups[b]
-        phi = [lower.position(image[x * k + b]) for x in classes[a]]
-        order, cayley = lower.order, lower.cayley.values
-        rhs = [cayley[p * order + q] for p in phi for q in phi]
-        if n > 2:
-            tail = lower.power_position(phi[upper.position(upper.neutral)], n - 2)
-            rhs = [cayley[r * order + tail] for r in rhs]
-        if rhs != [phi[v] for v in upper.cayley.values]:
+        else:
             message = f"map ({a}, {b}) is not a homomorphism of the class extensions"
             yield "hom-multiplicative", message
-    for a, b in pairs:
-        for c in range(k):
-            if system.quotient.leq(c, b) and any(
-                image[image[x * k + b] * k + c] != image[x * k + c] for x in classes[a]
-            ):
-                yield "hom-composition", f"maps along {a} >= {b} >= {c} do not compose coherently"
+    # wrong[x, b, c]: c <= b <= the class of x, but x's image in c is not
+    # the image in c of x's image in b
+    leq = system._meet == np.arange(k)  # leq[b, c]: c <= b
+    wrong = (image != -1)[:, :, None] & leq & (image[image] != image[:, None, :])
+    xs, bs, cs = wrong.nonzero()
+    for a, b, c in sorted(set(zip(class_of[xs].tolist(), bs.tolist(), cs.tolist()))):
+        yield "hom-composition", f"maps along {a} >= {b} >= {c} do not compose coherently"
 
 
 def require_valid_system(system: StrongSystem, arity: int | None = None) -> None:
@@ -447,24 +451,20 @@ def system_to_doc(system: StrongSystem, labels=None) -> dict:
     labels = list(labels)
     if len(labels) != size:
         raise InputError(f"{len(labels)} labels for {size} elements")
-    k = system.partition.size
-    meet = np.reshape(system.quotient.meet.values, (k, k)).tolist()
-    groups = []
-    for g in system.groups:
-        rows = [
-            [g.members[g.op_position(i, j)] for j in range(g.order)] for i in range(g.order)
-        ]
-        groups.append({"class": g.class_index, "neutral": g.neutral, "cayley": rows})
-    classes, image = system.partition.classes, system.image
+    product = _products(system.partition.classes, [system._cayleys])[0].tolist()
+    groups = [
+        {"class": i, "neutral": g.neutral, "cayley": [[product[x][y] for y in c] for x in c]}
+        for i, (g, c) in enumerate(zip(system.groups, system.partition.classes))
+    ]
     homs = [
-        {"from": a, "to": b, "map": {str(x): image[x * k + b] for x in classes[a]}}
-        for a, b in system.quotient.comparable_pairs()
+        {"from": a, "to": b, "map": {str(x): y for x, y in images.items()}}
+        for (a, b), images in _pair_maps(system).items()
     ]
     return {
         "arity": system.arity,
         "elements": labels,
         "classes": [list(c) for c in system.partition.classes],
-        "meet": meet,
+        "meet": system._meet.tolist(),
         "groups": groups,
         "homs": homs,
     }

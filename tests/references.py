@@ -2,7 +2,10 @@
 them: each computes its result its own way, and the tests compare."""
 
 import itertools
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 
@@ -84,9 +87,31 @@ def group_law_violations_reference(system, n):
             out.append(("group-associative", f"{label}: operation is not associative"))
         if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
             out.append(("group-inverse", f"{label}: some element has no inverse"))
-        if any(g.power_position(i, n - 1) != e_pos for i in range(k)):
+        if any(power_reference(g, i, n - 1) != e_pos for i in range(k)):
             out.append(("group-exponent", f"{label}: exponent does not divide {n - 1}"))
     return out
+
+
+def power_reference(g, i, count):
+    """The count-fold product of the element at position i of class group
+    g, one product at a time (count >= 1)."""
+    acc = i
+    for _ in range(count - 1):
+        acc = g.cayley.values[acc * g.order + i]
+    return acc
+
+
+def pair_maps_reference(system):
+    """Each connecting map as {x: image of x} over the upper class, keyed
+    (upper, lower), read cell by cell from the flat image tuple wherever
+    the quotient orders the pair."""
+    k, classes = system.partition.size, system.partition.classes
+    return {
+        (a, b): {x: system.image[x * k + b] for x in classes[a]}
+        for a in range(k)
+        for b in range(k)
+        if system.quotient.leq(b, a)
+    }
 
 
 def build_reduction_reference(system, selection, n):
@@ -96,14 +121,15 @@ def build_reduction_reference(system, selection, n):
     chosen = selection.by_class
     m = system.size
     class_of = system.partition.class_of
+    homs = pair_maps_reference(system)
     values = []
     for x in range(m):
         cx = class_of[x]
         for y in range(m):
             gamma = system.quotient.meet_of(cx, class_of[y])
             group = system.groups[gamma]
-            u = system.homs[(cx, gamma)].apply(x)
-            v = system.homs[(class_of[y], gamma)].apply(y)
+            u = homs[(cx, gamma)][x]
+            v = homs[(class_of[y], gamma)][y]
             r = group.op(u, v)
             for _ in range(n - 2):
                 r = group.op(r, chosen[gamma])
@@ -175,24 +201,25 @@ def reductions_reference(t, symmetric_only=True):
 
 def hom_violations_reference(system, n):
     """validate_system's checks of the connecting maps, pair by pair through
-    the HomMap views, as (code, message) pairs: identity and multiplicative
-    per pair in key order, then coherence along every chain a >= b >= c."""
+    per-pair dicts (pair_maps_reference), as (code, message) pairs: identity
+    and multiplicative per pair in key order, then coherence along every
+    chain a >= b >= c."""
     out = []
-    homs = system.homs
+    homs = pair_maps_reference(system)
     for (a, b), hom in sorted(homs.items()):
-        if a == b and any(x != y for x, y in hom.mapping):
+        if a == b and any(x != y for x, y in hom.items()):
             out.append(("hom-identity", f"map ({a}, {a}) is not the identity"))
         # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
         gu, gl = system.groups[a], system.groups[b]
-        shift = gl.position(hom.apply(gu.neutral))
-        tail = gl.power_position(shift, n - 2) if n > 2 else None
+        shift = gl.position(hom[gu.neutral])
+        tail = power_reference(gl, shift, n - 2) if n > 2 else None
 
         def rhs(x, y):
-            r = gl.op_position(gl.position(hom.apply(x)), gl.position(hom.apply(y)))
+            r = gl.op_position(gl.position(hom[x]), gl.position(hom[y]))
             return r if tail is None else gl.op_position(r, tail)
 
         if any(
-            gl.position(hom.apply(gu.op(x, y))) != rhs(x, y)
+            gl.position(hom[gu.op(x, y)]) != rhs(x, y)
             for x in gu.members
             for y in gu.members
         ):
@@ -202,7 +229,7 @@ def hom_violations_reference(system, n):
         for c in range(system.quotient.size):
             if (b, c) in homs and (a, c) in homs:
                 upper, lower, direct = homs[(a, b)], homs[(b, c)], homs[(a, c)]
-                if any(lower.apply(upper.apply(x)) != direct.apply(x) for x, _ in direct.mapping):
+                if any(lower[upper[x]] != direct[x] for x in direct):
                     message = f"maps along {a} >= {b} >= {c} do not compose coherently"
                     out.append(("hom-composition", message))
     return out
@@ -330,3 +357,86 @@ def decompose_reference(t, verify=True):
     groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
     image = image_matrix_reference(lam.rows, partition, semilattice)
     return StrongSystem(t.arity, partition, semilattice, groups, image)
+
+
+# A corpus of bands past the catalogs: numpy arrays of shape (m,) * n,
+# indexed by argument tuples, built with numpy alone, each with the facts
+# its factors fix: the sorted sizes of its classes (their count is the
+# class count, each the order of its class group) and its reducibility.
+
+
+def _grids(m, n):
+    return np.broadcast_arrays(*np.ix_(*[np.arange(m)] * n))
+
+
+def chain_band(c, n):
+    """n-ary min on the chain 0 < ... < c-1: c one-element classes, reduced
+    by binary min."""
+    return np.minimum.reduce(_grids(c, n)), {"sizes": (1,) * c, "reducible": True}
+
+
+def sum_band(d, n):
+    """n-ary sum mod d, a band when d divides n - 1: one class, the group
+    Z_d, reduced by binary sum mod d."""
+    assert (n - 1) % d == 0
+    return sum(_grids(d, n)) % d, {"sizes": (d,), "reducible": True}
+
+
+# the ternary fixtures' facts; acceptance 06 pins the reducibility of the
+# two four-element ones
+FIXTURE_FACTS = {
+    "reducible4": ((1, 1, 2), True),
+    "irreducible4": ((1, 1, 2), False),
+    "tmin3": ((1, 1, 1), True),
+    "txor2": ((2,), True),
+}
+
+
+def fixture_band(name):
+    doc = json.loads((Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
+    sizes, reducible = FIXTURE_FACTS[name]
+    shape = (len(doc["elements"]),) * doc["arity"]
+    return np.reshape(doc["values"], shape), {"sizes": sizes, "reducible": reducible}
+
+
+def product_band(first, second):
+    """The direct product, element (x, y) numbered x * |second| + y: its
+    classes are the products of the factors' classes, and it is reducible
+    iff both factors are."""
+    (a, facts_a), (b, facts_b) = first, second
+    left, right = np.divmod(np.arange(len(a) * len(b)), len(b))
+    t = a[np.ix_(*[left] * a.ndim)] * len(b) + b[np.ix_(*[right] * b.ndim)]
+    sizes = tuple(sorted(x * y for x in facts_a["sizes"] for y in facts_b["sizes"]))
+    return t, {"sizes": sizes, "reducible": facts_a["reducible"] and facts_b["reducible"]}
+
+
+def relabeled_band(band, perm):
+    """band relabeled by perm: perm(args) goes to perm(t(args))."""
+    t, facts = band
+    perm = np.asarray(perm)
+    return perm[t[np.ix_(*[np.argsort(perm)] * t.ndim)]], facts
+
+
+def product_corpus(seed):
+    """(name, t, facts) for the products of every two factors of one arity,
+    and of three at n = 3, each relabeled by a seeded random permutation.
+    The factors: chains of 1-3 elements, sums mod each d > 1 dividing
+    n - 1, and at n = 3 the four band fixtures.  Products stop at 36
+    elements at n = 3, 12 at n = 5 and 9 at n = 4."""
+    rng = random.Random(seed)
+    out = []
+    for n, limit in ((3, 36), (4, 9), (5, 12)):
+        factors = {f"chain{c}": chain_band(c, n) for c in (1, 2, 3)}
+        factors.update({f"sum{d}": sum_band(d, n) for d in range(2, n) if (n - 1) % d == 0})
+        if n == 3:
+            factors.update({name: fixture_band(name) for name in FIXTURE_FACTS})
+        for count in (2, 3) if n == 3 else (2,):
+            for names in itertools.combinations_with_replacement(sorted(factors), count):
+                band = factors[names[0]]
+                for name in names[1:]:
+                    band = product_band(band, factors[name])
+                m = len(band[0])
+                if m <= limit:
+                    perm = rng.sample(range(m), m)
+                    out.append(("x".join(names) + f"-n{n}", *relabeled_band(band, perm)))
+    return out

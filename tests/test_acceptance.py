@@ -86,8 +86,8 @@ def test_04_golden_class_group(capsys, f1, f2):
 
 def test_05_golden_homs(capsys, f1, f2):
     h1, h2 = hom_maps(f1), hom_maps(f2)
-    ok = h1[(0, 2)].apply(0) == 3 and h1[(1, 2)].apply(1) == 2
-    ok = ok and h2[(0, 2)].apply(0) == 3 and h2[(1, 2)].apply(1) == 3
+    ok = h1[(0, 2)][0] == 3 and h1[(1, 2)][1] == 2
+    ok = ok and h2[(0, 2)][0] == 3 and h2[(1, 2)][1] == 3
     report(capsys, 5, "golden-homs", ok)
 
 

@@ -642,6 +642,33 @@ def test_benchmark_stage_names_exist():
             assert callable(getattr(module, name, None)), f"{stage}: {module.__name__}.{name}"
 
 
+def test_benchmark_tracer_installs_on_the_package():
+    # the traced run's install() rebinds every STAGES name wherever the
+    # package holds it; in a fresh interpreter it installs, and calls made
+    # through the rebound names record their stages
+    root = Path(__file__).parents[1]
+    script = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "import narybands, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install(narybands)\n"
+        "t = narybands.table_from_function(3, 2, lambda *a: sum(a) % 2)\n"
+        "narybands.validate_system(narybands.decompose(t))\n"
+        "narybands.hom_maps(t)\n"
+        "print(' '.join(sorted({span[0] for span in tracer.spans})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "src"), str(root / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stages = set(proc.stdout.split())
+    assert {"structure.decompose", "structure.validate", "structure.hom_maps"} <= stages
+
+
 def test_readme_limits_equal_the_constants():
     # every limit the README states as "N <unit> (`module.CONSTANT`" is
     # that constant's value, and its limits paragraph names all five
