@@ -9,11 +9,9 @@ checking.  The independent oracle is a forcing search over binary tables.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
-from .structure import StrongSystem, _compose_system, _map_power, require_valid_system
+from .structure import StrongSystem, _compose_system, _power, require_valid_system
 
 REDUCTION_CANDIDATE_BUDGET = 2**21
 
@@ -78,10 +76,10 @@ def build_reduction(system: StrongSystem, selection: NeutralSelection) -> OpTabl
             )
     rebased = []
     for g, e in zip(system.groups, chosen):
-        table = np.reshape(g.cayley.values, (g.order, g.order))
-        times_e = _map_power(table[:, g.position(e)], system.arity - 2)  # p -> p * e^(n-2)
-        rebased.append(times_e[table].ravel())
-    return _compose_system(system, 2, np.concatenate(rebased))
+        times_e = g.cayley.values[g.position(e) :: g.order]  # column e maps p to p * e
+        power = [_power(times_e, p, system.arity - 2) for p in range(g.order)]
+        rebased += [power[r] for r in g.cayley.values]
+    return _compose_system(system, 2, rebased)
 
 
 def decide_reducible(system: StrongSystem, verify: bool = True):

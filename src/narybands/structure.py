@@ -71,23 +71,19 @@ class ClassGroup:
     def op_position(self, i: int, j: int) -> int:
         return self.cayley.values[i * self.order + j]
 
-    def power_position(self, i: int, count: int) -> int:
-        """count-fold product of the element at position i (count >= 1)."""
-        times_i = np.reshape(self.cayley.values, (self.order, self.order))[:, i]
-        return int(_map_power(times_i, count - 1)[i])
 
-
-def _map_power(f, count: int) -> "np.ndarray":
-    """The maps f (arrays of positions along the last axis) each applied
-    count >= 0 times, by log2(count) squarings: composing maps is
-    associative, so this is the step-by-step power also off a group."""
-    cells = np.arange(f.size).reshape(f.shape)  # map r's position p is r * k + p
-    step, out = f + cells - cells % f.shape[-1], cells
-    while count:
-        if count & 1:
-            out = step.ravel()[out]
-        step, count = step.ravel()[step], count >> 1
-    return out % f.shape[-1]
+def _power(f, x: int, count: int) -> int:
+    """f, a sequence of positions, applied count >= 0 times to x as the step
+    loop would, in at most len(f) + 1 steps: the walk stops at its first
+    repeated position and indexes into the cycle."""
+    seen = {}  # position: step
+    while len(seen) < count and x not in seen:
+        seen[x] = len(seen)
+        x = f[x]
+    if len(seen) < count:  # x is back at step seen[x]
+        path, start = list(seen), seen[x]
+        x = path[start + (count - start) % (len(path) - start)]
+    return x
 
 
 def _orders(values, size, neutral):
@@ -170,9 +166,8 @@ def _failed_group_laws(cayley: OpTable, e_pos: int, n: int):
         yield "group-associative", "operation is not associative"
     if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
         yield "group-inverse", "some element has no inverse"
-    # row i of the transpose maps p to p * i: i^(n-1) is its (n-2)-th power at i
-    powers = _map_power(np.reshape(cay, (k, k)).T, n - 2).diagonal()
-    if (powers != e_pos).any():
+    # column i maps p to p * i: i^(n-1) is its (n-2)-th power at i
+    if any(_power(cay[i::k], i, n - 2) != e_pos for i in range(k)):
         yield "group-exponent", f"exponent does not divide {n - 1}"
 
 
@@ -265,28 +260,12 @@ class StrongSystem:
             raise InputError(f"hom ({a}, {b}) maps outside class {b}")
         cayleys = np.array([v for g in groups for v in g.cayley.values], dtype=np.intp)
         _read_only(matrix, meet, cayleys)
-        object.__setattr__(self, "_image", matrix)
-        object.__setattr__(self, "_meet", meet)
-        object.__setattr__(self, "_cayleys", cayleys)
+        for name, array in {"_image": matrix, "_meet": meet, "_cayleys": cayleys}.items():
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:
         return len(self.partition.class_of)
-
-
-def _products(members, cayleys) -> "np.ndarray":
-    """The class groups of each system as one table of elements: product[s,
-    x, y] is x * y when x and y share a class, else 0.  Class c has the
-    elements members[c]; cayleys[s] lays system s's class tables end to end."""
-    cayley = np.asarray(cayleys, dtype=np.intp)
-    m = sum(map(len, members))
-    product = np.zeros((len(cayley), m, m), dtype=np.intp)
-    start = 0
-    for c in map(np.asarray, members):
-        table = cayley[:, start : start + len(c) ** 2].reshape(-1, len(c), len(c))
-        product[:, c[:, None], c] = c[table]
-        start += len(c) ** 2
-    return product
 
 
 def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
@@ -306,8 +285,16 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     args = _multiset_args(m, n)
     arg_classes = np.asarray(class_of, dtype=np.intp)[args]
     meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
-    product = _products(members, np.reshape(cayleys, (len(meet), -1)))
+    cayley = np.asarray(cayleys, dtype=np.intp).reshape(len(meet), -1)
     image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
+    # the class groups as one table of elements per system: product[s, x, y]
+    # is x * y when x and y share a class (other cells are never read)
+    product = np.zeros((len(meet), m, m), dtype=np.intp)
+    start = 0
+    for c in map(np.asarray, members):
+        table = cayley[:, start : start + len(c) ** 2].reshape(-1, len(c), len(c))
+        product[:, c[:, None], c] = c[table]
+        start += len(c) ** 2
     row = np.arange(len(meet))[:, None]
     alpha = arg_classes[:, 0]
     for j in range(1, n):
@@ -331,7 +318,7 @@ def _pair_maps(system: StrongSystem) -> dict[tuple[int, int], dict[int, int]]:
     """The connecting maps keyed (upper, lower), (i, i) included, each as
     {x: image of x} over the upper class, read from system's image matrix."""
     rows, classes = system._image.tolist(), system.partition.classes
-    pairs = system.quotient.comparable_pairs()
+    pairs = np.argwhere(system._meet == np.arange(len(classes))).tolist()  # b <= a, sorted
     return {(a, b): {x: rows[x][b] for x in classes[a]} for a, b in pairs}
 
 
@@ -404,34 +391,49 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
 
 def _failed_hom_laws(system: StrongSystem, n: int):
     """validate_system's laws of the connecting maps that system fails at
-    arity n, as (code, message), a generator like _failed_group_laws; each
-    law is checked by gathers over all the maps at once."""
-    k, image, elements = system.partition.size, system._image, np.arange(system.size)
-    class_of = np.asarray(system.partition.class_of)
-    # (a, b, law): map (a, b) breaks law 0, identity, or law 1: phi is an
-    # n-ary hom between class extensions iff, for x, y in the upper class,
-    # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the lower one
+    arity n, as (code, message), a generator like _failed_group_laws.  The
+    laws are gathers over the maps into one lower class at a time, so no
+    array outgrows the m x k image matrix or the class tables."""
+    image, cayleys, groups = system._image, system._cayleys, system.groups
+    k, elements = len(groups), np.arange(system.size)
+    class_of, sizes = np.asarray(system.partition.class_of), np.array([g.order for g in groups])
+    order = np.argsort(class_of, kind="stable")  # the classes' members end to end
+    start, offset = np.cumsum(sizes) - sizes, np.cumsum(sizes**2) - sizes**2
+    position = np.argsort(order) - start[class_of]  # of each element in its class
+    above, leq = image != -1, system._meet == np.arange(k)  # leq[b, c]: c <= b
+    phi = np.where(above, position[image], 0)  # phi[x, b]: position of x's image in b, or 0
+    # cell i of the class tables, of class pair_class[i], is x * y: xs, ys, xys
+    pair_class = np.repeat(np.arange(k), sizes**2)
+    cell, first = np.arange(len(cayleys)) - offset[pair_class], start[pair_class]
+    xs, ys = order[first + cell // sizes[pair_class]], order[first + cell % sizes[pair_class]]
+    xys = order[first + cayleys]
+    # phi is an n-ary hom between class extensions iff, for x, y in the
+    # upper class, phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the lower class
+    tail = np.zeros((k, k), dtype=np.intp)  # tail[a, b] = phi(e_a)^(n-2) in b
+    for a, b in np.argwhere(leq).tolist() if n > 2 else []:
+        p = int(phi[groups[a].neutral, b])  # column p of b's table maps q to q * p
+        tail[a, b] = _power(groups[b].cayley.values[p :: groups[b].order], p, n - 3)
+    # (a, b, law): map (a, b) breaks law 0, identity, or law 1, multiplicativity
     failed = {(a, a, 0) for a in class_of[image[elements, class_of] != elements].tolist()}
-    product = _products(system.partition.classes, [system._cayleys])[0]
-    xs, ys = (class_of[:, None] == class_of).nonzero()
-    rhs = product[image[xs], image[ys]]
-    if n > 2:  # power[y] = y^(n-2); row y of the transpose is z -> z * y
-        power = _map_power(product.T, n - 3).diagonal()
-        rhs = product[rhs, power[image[[g.neutral for g in system.groups]]][class_of[xs]]]
-    pairs, lower = ((image[xs] != -1) & (image[product[xs, ys]] != rhs)).nonzero()
-    failed.update((a, b, 1) for a, b in zip(class_of[xs[pairs]].tolist(), lower.tolist()))
+    incoherent = set()
+    for b, size in enumerate(sizes.tolist()):
+        col, up = phi[:, b], above[xs, b]
+        rhs = cayleys[offset[b] + col[xs[up]] * size + col[ys[up]]]
+        if n > 2:
+            rhs = cayleys[offset[b] + rhs * size + tail[pair_class[up], b]]
+        broken = pair_class[up][col[xys[up]] != rhs]
+        failed.update(zip(broken.tolist(), [b] * len(broken), [1] * len(broken)))
+        # x's image in c, for each c <= b, is the image in c of x's image in b
+        xb, cs = above[:, b].nonzero()[0], leq[b].nonzero()[0]
+        i, j = (image[image[xb, b, None], cs] != image[xb[:, None], cs]).nonzero()
+        incoherent.update(zip(class_of[xb[i]].tolist(), [b] * len(i), cs[j].tolist()))
     for a, b, law in sorted(failed):
         if law == 0:
             yield "hom-identity", f"map ({a}, {a}) is not the identity"
         else:
             message = f"map ({a}, {b}) is not a homomorphism of the class extensions"
             yield "hom-multiplicative", message
-    # wrong[x, b, c]: c <= b <= the class of x, but x's image in c is not
-    # the image in c of x's image in b
-    leq = system._meet == np.arange(k)  # leq[b, c]: c <= b
-    wrong = (image != -1)[:, :, None] & leq & (image[image] != image[:, None, :])
-    xs, bs, cs = wrong.nonzero()
-    for a, b, c in sorted(set(zip(class_of[xs].tolist(), bs.tolist(), cs.tolist()))):
+    for a, b, c in sorted(incoherent):
         yield "hom-composition", f"maps along {a} >= {b} >= {c} do not compose coherently"
 
 
@@ -451,11 +453,12 @@ def system_to_doc(system: StrongSystem, labels=None) -> dict:
     labels = list(labels)
     if len(labels) != size:
         raise InputError(f"{len(labels)} labels for {size} elements")
-    product = _products(system.partition.classes, [system._cayleys])[0].tolist()
-    groups = [
-        {"class": i, "neutral": g.neutral, "cayley": [[product[x][y] for y in c] for x in c]}
-        for i, (g, c) in enumerate(zip(system.groups, system.partition.classes))
-    ]
+    groups = []
+    for g in system.groups:
+        rows = [
+            [g.members[g.op_position(i, j)] for j in range(g.order)] for i in range(g.order)
+        ]
+        groups.append({"class": g.class_index, "neutral": g.neutral, "cayley": rows})
     homs = [
         {"from": a, "to": b, "map": {str(x): y for x, y in images.items()}}
         for (a, b), images in _pair_maps(system).items()
