@@ -11,13 +11,15 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ConsistencyError, InputError
 from .optable import (
     OpTable,
+    _read_only,
     _strides,
     check_associative,
     check_idempotent,
-    check_symmetric,
     require_band,
 )
 
@@ -88,18 +90,32 @@ class SigmaPartition:
 
 @dataclass(frozen=True)
 class QuotientSemilattice:
-    """Meet semilattice structure on the congruence classes."""
+    """Meet semilattice structure on the congruence classes, held as two
+    read-only k x k arrays, _meet and _leq[a, b], "b <= a" (meet(a, b) = b),
+    and _top_down, the classes by how many lie above them, then by index."""
 
     meet: OpTable
 
     def __post_init__(self):
         if self.meet.arity != 2:
             raise InputError("meet table must be binary")
-        if check_symmetric(self.meet) is not None:
+        k = self.size
+        meet = np.array(self.meet.values, dtype=np.intp).reshape(k, k)
+        leq = meet == np.arange(k)
+        _read_only(meet, leq)
+        top_down = tuple(np.argsort(leq.sum(axis=0), kind="stable").tolist())
+        for name, value in {"_meet": meet, "_leq": leq, "_top_down": top_down}.items():
+            object.__setattr__(self, name, value)
+        if (meet != meet.T).any():
             raise ConsistencyError("meet table is not commutative")
-        if check_idempotent(self.meet) is not None:
+        if not leq.diagonal().all():
             raise ConsistencyError("meet table is not idempotent")
-        if check_associative(self.meet) is not None:
+        # so associative iff meet(a, b) is the greatest lower bound (Davey &
+        # Priestley, Thm 2.10): it is below a and b, and as many classes are
+        # below it as below both, which for b <= a makes <= transitive
+        below = leq.astype(np.float32)  # its counts are exact
+        lower = leq[np.arange(k)[:, None], meet].all()  # meet(a, b) <= a, so <= b
+        if not (lower and (below @ below.T == below.sum(axis=1)[meet]).all()):
             raise ConsistencyError("meet table is not associative")
 
     @property
@@ -107,30 +123,26 @@ class QuotientSemilattice:
         return self.meet.size
 
     def meet_of(self, a: int, b: int) -> int:
-        return self.meet.values[a * self.meet.size + b]
+        return int(self._meet[a, b])
 
     def leq(self, sub: int, sup: int) -> bool:
-        return self.meet_of(sup, sub) == sub
+        return bool(self._leq[sup, sub])
 
     @cached_property
     def uppers(self) -> tuple[tuple[int, ...], ...]:
         """The classes strictly above each class, ascending."""
-        k = self.size
-        return tuple(tuple(d for d in range(k) if d != c and self.leq(c, d)) for c in range(k))
+        strict = self._leq & ~np.eye(self.size, dtype=bool)
+        return tuple(tuple(np.flatnonzero(column).tolist()) for column in strict.T)
 
     def comparable_pairs(self) -> list[tuple[int, int]]:
         """All (upper, lower) pairs with lower <= upper, including equal."""
-        return sorted((a, b) for b, above in enumerate(self.uppers) for a in (b, *above))
+        return list(zip(*(axis.tolist() for axis in self._leq.nonzero())))
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (upper, lower) with lower < upper and nothing in between."""
-        uppers = self.uppers
-        return sorted(
-            (a, b)
-            for b, above in enumerate(uppers)
-            for a in above
-            if not any(a in uppers[c] for c in above)
-        )
+        steps = (self._leq & ~np.eye(self.size, dtype=bool)).astype(np.float32)
+        # a step from a down to b with no two-step path between them
+        return list(zip(*(axis.tolist() for axis in (steps > steps @ steps).nonzero())))
 
 
 def associated_band(t: OpTable, verify: bool = True) -> OpTable:

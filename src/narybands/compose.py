@@ -262,7 +262,7 @@ def _hom_steps(q: QuotientSemilattice) -> tuple:
     covers of c at or below g."""
     cover_pairs = q.covers()
     steps = []
-    for c in sorted(range(q.size), key=lambda c: (len(q.uppers[c]), c)):
+    for c in q._top_down:
         if q.uppers[c]:
             covers = tuple(a for a, b in cover_pairs if b == c)
             routes = tuple((g, tuple(a for a in covers if q.leq(a, g))) for g in q.uppers[c])
@@ -270,14 +270,13 @@ def _hom_steps(q: QuotientSemilattice) -> tuple:
     return tuple(steps)
 
 
-def _grown_meets(meet: "np.ndarray"):
-    """The meet arrays grown from a p x p meet array by a new maximal
+def _grown_meets(q: QuotientSemilattice):
+    """The meet arrays grown from the p classes of q by a new maximal
     element p.  It may sit above any nonempty down-set D such that, for
     every y, the members of D below y have a greatest one; that one is the
     meet of p and y."""
-    p = len(meet)
-    rows = meet.tolist()
-    below = [{z for z in range(p) if rows[z][y] == z} for y in range(p)]
+    p = q.size
+    below = [set(np.flatnonzero(row).tolist()) for row in q._leq]
     for mask in range(1, 1 << p):
         down = {z for z in range(p) if mask >> z & 1}
         if any(not below[y] <= down for y in down):
@@ -291,7 +290,7 @@ def _grown_meets(meet: "np.ndarray"):
             tops.append(top)
         else:
             grown = np.full((p + 1, p + 1), p, dtype=np.intp)
-            grown[:p, :p] = meet
+            grown[:p, :p] = q._meet
             grown[p, :p] = grown[:p, p] = tops
             yield grown
 
@@ -309,11 +308,7 @@ def _semilattices(k: int) -> tuple[QuotientSemilattice, ...]:
     if k == 1:
         grown = [np.zeros((1, 1), dtype=np.intp)]
     else:
-        grown = [
-            g
-            for q in _semilattices(k - 1)
-            for g in _grown_meets(np.reshape(q.meet.values, (k - 1, k - 1)))
-        ]
+        grown = [g for q in _semilattices(k - 1) for g in _grown_meets(q)]
     tables = [OpTable(2, k, tuple(g.ravel().tolist())) for g in grown]
     kept = {}
     for t, form in zip(tables, _canonical_forms(tables)):
@@ -454,7 +449,7 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
                     for (g, c), pmap in phi.items():
                         for x, p in zip(classes[g], pmap):
                             image[x * k + c] = starts[c] + p
-                    systems.append((q.meet.values, cayley, image))
+                    systems.append((q._meet, cayley, image))
         blocks.append(_compose_orbits(n, class_of, classes, *zip(*systems)).astype(np.uint8))
     orbits = np.concatenate(blocks)
     if len(set(map(bytes, orbits))) < len(orbits):

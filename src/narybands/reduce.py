@@ -68,11 +68,12 @@ def build_reduction(system: StrongSystem, selection: NeutralSelection) -> OpTabl
     for c in range(k):
         if chosen[c] not in system.partition.classes[c]:
             raise InputError(f"selected element {chosen[c]} is not in class {c}")
-    for a, b in system.quotient.comparable_pairs():
-        if a != b and system.image[chosen[a] * k + b] != chosen[b]:
+    sent = system._image[list(chosen)]  # sent[a, b]: the image of chosen[a] in class b
+    for a, b in zip(*(system.quotient._leq & (sent != chosen)).nonzero()):
+        if a != b:  # the first strict pair in comparable_pairs order
             raise InputError(
                 f"selection is not coherent: map ({a}, {b}) sends {chosen[a]} "
-                f"to {system.image[chosen[a] * k + b]}, not {chosen[b]}"
+                f"to {sent[a, b]}, not {chosen[b]}"
             )
     rebased = []
     for g, e in zip(system.groups, chosen):
@@ -93,8 +94,7 @@ def decide_reducible(system: StrongSystem, verify: bool = True):
     if verify:
         require_valid_system(system)
     k, image = system.quotient.size, system.image
-    uppers = system.quotient.uppers
-    order = sorted(range(k), key=lambda c: (len(uppers[c]), c))
+    uppers, order = system.quotient.uppers, system.quotient._top_down
     selection: list[int | None] = [None] * k
     failures: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
 

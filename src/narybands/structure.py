@@ -222,7 +222,7 @@ class StrongSystem:
     image[x * k + c] is the image of x in class c if c is at or below the
     class of x, else -1.  Built, a system holds its data as the three
     read-only arrays _compose_orbits takes: _image, the m x k matrix; _meet,
-    the k x k meet; _cayleys, the class tables laid end to end.
+    the quotient's own k x k meet; _cayleys, the class tables end to end.
     """
 
     arity: int
@@ -249,17 +249,16 @@ class StrongSystem:
             raise InputError(f"image must have {m} x {k} cells, got {len(image)}")
         # an image outside -1..m-1 reads as m, an element of no class
         matrix = np.array([v if -1 <= v < m else m for v in image], dtype=np.intp).reshape(m, k)
-        meet = np.array(self.quotient.meet.values, dtype=np.intp).reshape(k, k)
-        class_of, classes = np.asarray(self.partition.class_of), np.arange(k)
-        below = meet[class_of] == classes  # below[x, c]: c is at or below the class of x
+        meet, class_of = self.quotient._meet, np.asarray(self.partition.class_of)
+        below = self.quotient._leq[class_of]  # below[x, c]: c is at or below the class of x
         if ((matrix != -1) != below).any():
             raise InputError("homs must cover exactly the comparable class pairs")
-        xs, cs = (below & (np.append(class_of, k)[matrix] != classes)).nonzero()
+        xs, cs = (below & (np.append(class_of, k)[matrix] != np.arange(k))).nonzero()
         if len(xs):
             a, b = min(zip(class_of[xs].tolist(), cs.tolist()))
             raise InputError(f"hom ({a}, {b}) maps outside class {b}")
         cayleys = np.array([v for g in groups for v in g.cayley.values], dtype=np.intp)
-        _read_only(matrix, meet, cayleys)
+        _read_only(matrix, cayleys)
         for name, array in {"_image": matrix, "_meet": meet, "_cayleys": cayleys}.items():
             object.__setattr__(self, name, array)
 
@@ -318,7 +317,7 @@ def _pair_maps(system: StrongSystem) -> dict[tuple[int, int], dict[int, int]]:
     """The connecting maps keyed (upper, lower), (i, i) included, each as
     {x: image of x} over the upper class, read from system's image matrix."""
     rows, classes = system._image.tolist(), system.partition.classes
-    pairs = np.argwhere(system._meet == np.arange(len(classes))).tolist()  # b <= a, sorted
+    pairs = system.quotient.comparable_pairs()
     return {(a, b): {x: rows[x][b] for x in classes[a]} for a, b in pairs}
 
 
@@ -348,7 +347,7 @@ def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
         meet = class_of[band[np.ix_(least, least)]]
         semilattice = QuotientSemilattice(OpTable(2, len(least), tuple(meet.ravel().tolist())))
         groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
-        below = meet[class_of] == class_ids  # below[x, c]: c is at or below the class of x
+        below = semilattice._leq[class_of]  # below[x, c]: c is at or below the class of x
         image = np.where(below, band[least].T, -1)
         if (below & (class_of[image] != class_ids)).any():
             raise ConsistencyError("a translation image escapes its class")
@@ -400,7 +399,7 @@ def _failed_hom_laws(system: StrongSystem, n: int):
     order = np.argsort(class_of, kind="stable")  # the classes' members end to end
     start, offset = np.cumsum(sizes) - sizes, np.cumsum(sizes**2) - sizes**2
     position = np.argsort(order) - start[class_of]  # of each element in its class
-    above, leq = image != -1, system._meet == np.arange(k)  # leq[b, c]: c <= b
+    above, leq = image != -1, system.quotient._leq  # leq[b, c]: c <= b
     phi = np.where(above, position[image], 0)  # phi[x, b]: position of x's image in b, or 0
     # cell i of the class tables, of class pair_class[i], is x * y: xs, ys, xys
     pair_class = np.repeat(np.arange(k), sizes**2)
@@ -410,7 +409,7 @@ def _failed_hom_laws(system: StrongSystem, n: int):
     # phi is an n-ary hom between class extensions iff, for x, y in the
     # upper class, phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the lower class
     tail = np.zeros((k, k), dtype=np.intp)  # tail[a, b] = phi(e_a)^(n-2) in b
-    for a, b in np.argwhere(leq).tolist() if n > 2 else []:
+    for a, b in system.quotient.comparable_pairs() if n > 2 else []:
         p = int(phi[groups[a].neutral, b])  # column p of b's table maps q to q * p
         tail[a, b] = _power(groups[b].cayley.values[p :: groups[b].order], p, n - 3)
     # (a, b, law): map (a, b) breaks law 0, identity, or law 1, multiplicativity

@@ -18,6 +18,8 @@ from narybands import (
     OpTable,
     StrongSystem,
     check_associative,
+    check_idempotent,
+    check_symmetric,
     class_group,
     extend,
     invariant_factors,
@@ -41,6 +43,35 @@ def covers_reference(q):
             if not any(c != a and c != b and q.leq(b, c) and q.leq(c, a) for c in range(k)):
                 out.append((a, b))
     return out
+
+
+def semilattice_laws_reference(t):
+    """QuotientSemilattice's verdict on the binary table t by the three
+    table scans, in its law order: None, or the error type and message."""
+    for scan, law in (
+        (check_symmetric, "commutative"),
+        (check_idempotent, "idempotent"),
+        (check_associative, "associative"),
+    ):
+        if scan(t) is not None:
+            return ConsistencyError, f"meet table is not {law}"
+    return None
+
+
+def order_reference(q):
+    """QuotientSemilattice's order queries read per pair off the meet
+    table's values: meet_of, leq, uppers, comparable_pairs and the top-down
+    order (fewest classes above first, then by index)."""
+    k, values = q.size, q.meet.values
+    meet = [list(values[a * k : (a + 1) * k]) for a in range(k)]
+    uppers = tuple(tuple(d for d in range(k) if d != c and meet[c][d] == c) for c in range(k))
+    return {
+        "meet_of": meet,
+        "leq": [[meet[sup][sub] == sub for sup in range(k)] for sub in range(k)],
+        "uppers": uppers,
+        "comparable_pairs": [(a, b) for a in range(k) for b in range(k) if meet[a][b] == b],
+        "top_down": tuple(sorted(range(k), key=lambda c: (len(uppers[c]), c))),
+    }
 
 
 def hom_steps_reference(meet):
@@ -112,6 +143,20 @@ def pair_maps_reference(system):
         for b in range(k)
         if system.quotient.leq(b, a)
     }
+
+
+def coherence_reference(system, chosen):
+    """build_reduction's coherence error for the selection chosen, by the
+    walk over pair_maps_reference: the message for the first strict pair
+    (a, b) in order whose map does not send chosen[a] to chosen[b], or
+    None."""
+    for (a, b), images in sorted(pair_maps_reference(system).items()):
+        if a != b and images[chosen[a]] != chosen[b]:
+            return (
+                f"selection is not coherent: map ({a}, {b}) sends {chosen[a]} "
+                f"to {images[chosen[a]]}, not {chosen[b]}"
+            )
+    return None
 
 
 def build_reduction_reference(system, selection, n):

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import random
 
 import pytest
 
@@ -21,8 +23,14 @@ from narybands import (
     table_from_function,
 )
 
-from conftest import outcome, perturbed, random_tables
-from references import associated_band_reference, classify_reference
+from conftest import outcome, perturbed, perturbed_multisets, random_tables, relabel_cells
+from references import (
+    associated_band_reference,
+    classify_reference,
+    semilattice_laws_reference,
+)
+
+compose_module = importlib.import_module("narybands.compose")
 
 F1_B_ROWS = ((0, 2, 2, 3), (3, 1, 2, 3), (3, 2, 2, 3), (3, 2, 2, 3))
 F2_B_ROWS = ((0, 3, 2, 3), (3, 1, 2, 3), (3, 3, 2, 3), (3, 3, 2, 3))
@@ -155,8 +163,49 @@ def test_quotient_rejects_non_congruence(f1):
 
 
 def test_quotient_semilattice_validation():
-    with pytest.raises(ConsistencyError):
-        QuotientSemilattice(OpTable(2, 2, (0, 0, 1, 1)))  # not commutative
+    # the order check against check_symmetric / check_idempotent /
+    # check_associative, which share none of its code: every commutative
+    # idempotent table on up to 4 classes, then seeded tables on up to 6
+    # (symmetrized, arbitrary, and relabeled semilattices as they are or
+    # with one cell or one pair of cells moved)
+    tables = [OpTable(2, 2, (0, 0, 1, 1))]  # not commutative
+    for k in range(1, 5):
+        pairs = list(itertools.combinations(range(k), 2))
+        for values in itertools.product(range(k), repeat=len(pairs)):
+            cells = {(a, a): a for a in range(k)}
+            for (a, b), v in zip(pairs, values):
+                cells[a, b] = cells[b, a] = v
+            tables.append(OpTable(2, k, tuple(cells[ab] for ab in sorted(cells))))
+    assert len(tables) == 1 + 4126
+    rng = random.Random(27)
+    for _ in range(700):
+        k = rng.randint(1, 6)
+        cells = [[rng.randrange(k) for _ in range(k)] for _ in range(k)]
+        idempotent = rng.random() < 0.75
+        tables.append(
+            table_from_function(
+                2, k, lambda a, b: a if a == b and idempotent else cells[min(a, b)][max(a, b)]
+            )
+        )
+        k = rng.randint(1, 6)
+        tables.append(OpTable(2, k, tuple(rng.randrange(k) for _ in range(k * k))))
+    semilattices = [q.meet for k in range(2, 7) for q in compose_module._semilattices(k)]
+    for i in range(700):
+        t = rng.choice(semilattices)
+        t = relabel_cells(t, rng.sample(range(t.size), t.size))
+        tables += [[t], perturbed([t], i), perturbed_multisets([t], i, 1)][i % 3]
+    verdicts = []
+    for t in tables:
+        got = outcome(QuotientSemilattice, t)
+        verdicts.append(None if isinstance(got, QuotientSemilattice) else got)
+        assert verdicts[-1] == semilattice_laws_reference(t), t
+    # every law fails somewhere, and some tables pass
+    assert {v and v[1] for v in verdicts} == {
+        None,
+        "meet table is not commutative",
+        "meet table is not idempotent",
+        "meet table is not associative",
+    }
 
 
 def test_comparable_pairs_include_equal():

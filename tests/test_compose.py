@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import json
 import math
 import time
 
@@ -41,6 +42,8 @@ from references import (
     hom_steps_reference,
     make_group_reference,
     multiset_index_reference,
+    order_reference,
+    product_corpus,
 )
 
 # the package re-exports the function compose under the module's name
@@ -415,21 +418,42 @@ def test_hom_steps_match_quotient_semilattice():
         assert compose_module._hom_steps(QuotientSemilattice(t)) == hom_steps_reference(meet)
 
 
+def order_queries(q):
+    """q's order queries, in order_reference's shape."""
+    k = q.size
+    return {
+        "meet_of": [[q.meet_of(a, b) for b in range(k)] for a in range(k)],
+        "leq": [[q.leq(sub, sup) for sup in range(k)] for sub in range(k)],
+        "uppers": q.uppers,
+        "comparable_pairs": q.comparable_pairs(),
+        "top_down": q._top_down,
+    }
+
+
 def test_semilattice_order_matches_the_references():
-    # every meet semilattice class on up to 6 elements: 77 of them
+    # every meet semilattice class on up to 6 elements (77 of them) and the
+    # quotient of every product band: the queries read _leq, the references
+    # the meet's values pair by pair, and every answer is a plain int or bool
     classes = [q for k in range(1, 7) for q in compose_module._semilattices(k)]
     assert len(classes) == 77
     for q in classes:
-        k = q.size
-        assert q.uppers == tuple(
-            tuple(d for d in range(k) if d != c and q.meet_of(c, d) == c) for c in range(k)
-        )
-        assert q.comparable_pairs() == [
-            (a, b) for a in range(k) for b in range(k) if q.meet_of(a, b) == b
-        ]
-        assert q.covers() == covers_reference(q)
-        meet = np.asarray(q.meet.values).reshape(k, k)
+        meet = np.asarray(q.meet.values).reshape(q.size, q.size)
         assert compose_module._hom_steps(q) == hom_steps_reference(meet)
+    systems = [
+        decompose(OpTable(v.ndim, len(v), tuple(v.ravel().tolist())))
+        for _, v, _ in product_corpus(61)
+    ]
+    for q in classes + [system.quotient for system in systems]:
+        queries = order_queries(q)
+        assert queries == order_reference(q)
+        assert q.covers() == covers_reference(q)
+        json.dumps([q.covers(), *queries.values()])  # no numpy scalar anywhere
+        assert {type(v) for row in queries["leq"] for v in row} == {bool}
+        assert {type(v) for row in queries["meet_of"] for v in row} == {int}
+        assert not (q._meet.flags.writeable or q._leq.flags.writeable)
+    for system in systems:
+        assert system._meet is system.quotient._meet
+        assert not (system._image.flags.writeable or system._cayleys.flags.writeable)
 
 
 def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
@@ -440,9 +464,9 @@ def test_enumerate_rejects_a_non_associative_meet_table(monkeypatch):
     assert check_associative(bad) is not None
     grown_meets = compose_module._grown_meets
 
-    def growing(meet):
-        yield from grown_meets(meet)
-        if len(meet) == 2:
+    def growing(q):
+        yield from grown_meets(q)
+        if q.size == 2:
             yield np.asarray(bad.values).reshape(3, 3)
 
     monkeypatch.setattr(compose_module, "_grown_meets", growing)

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +34,13 @@ from narybands import (
     verify_reduction,
 )
 
-from references import build_reduction_reference, reductions_reference
+from conftest import outcome
+from references import (
+    build_reduction_reference,
+    coherence_reference,
+    product_corpus,
+    reductions_reference,
+)
 
 reduce_module = importlib.import_module("narybands.reduce")
 
@@ -83,6 +90,22 @@ def test_build_reduction_coherence(f2):
     with pytest.raises(InputError):
         # 2 is in class 2 but the maps from above both land on 3
         build_reduction(system, NeutralSelection((0, 1, 2)))
+    # every selection of every ternary band on 4 elements, and seeded ones
+    # of the product bands: the error names the first strict pair, in
+    # comparable_pairs order, whose map moves the selection
+    systems = [decompose(t) for t in enumerate_bands(4, 3).entries]
+    selections = [(s, c) for s in systems for c in itertools.product(*s.partition.classes)]
+    rng = random.Random(27)
+    for _, values, _ in product_corpus(61)[::4]:
+        s = decompose(OpTable(values.ndim, len(values), tuple(values.ravel().tolist())))
+        selections += [(s, tuple(map(rng.choice, s.partition.classes))) for _ in range(20)]
+    failed = 0
+    for s, chosen in selections:
+        expected = coherence_reference(s, chosen)
+        got = outcome(build_reduction, s, NeutralSelection(chosen))
+        assert got == (InputError, expected) if expected else isinstance(got, OpTable)
+        failed += expected is not None
+    assert 0 < failed < len(selections)
 
 
 def test_build_reduction_group_case(xor3):

@@ -728,6 +728,30 @@ def test_map_laws_stay_within_the_image_matrix():
     assert peak < 8 * m * m * np.dtype(np.intp).itemsize
 
 
+def test_many_classes_never_scan_the_meet(monkeypatch):
+    # the 301 classes of the band of atoms over a bottom: the semilattice
+    # checks its meet as an order, so the only tables check_associative
+    # sees on the way through the structure layer are the 1 x 1 class groups
+    m = 301
+    t = table_from_function(2, m, lambda x, y: x if x == y else 0)
+    scanned = []
+    check_associative = importlib.import_module("narybands.optable").check_associative
+
+    def spy(table):
+        scanned.append(table.size)
+        return check_associative(table)
+
+    for name in ("optable", "bandcore", "structure", "reduce", "compose"):
+        module = importlib.import_module(f"narybands.{name}")
+        if getattr(module, "check_associative", None) is check_associative:
+            monkeypatch.setattr(module, "check_associative", spy)
+    system = decompose(t)
+    system = system_from_json(system_to_json(system))[0]
+    assert validate_system(system) == []
+    assert decide_reducible(system).reducible
+    assert system.quotient.size == m and scanned and max(scanned) == 1
+
+
 def test_product_bands_match_their_factors():
     # products of chains, cyclic sums and the fixtures, relabeled: the
     # system has the classes the factors fix, validates, composes back and
