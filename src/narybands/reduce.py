@@ -9,9 +9,11 @@ checking.  The independent oracle is a forcing search over binary tables.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
-from .structure import StrongSystem, _compose_system, _power, require_valid_system
+from .structure import StrongSystem, _compose_system, _powers, _table_cells, require_valid_system
 
 REDUCTION_CANDIDATE_BUDGET = 2**21
 
@@ -75,12 +77,12 @@ def build_reduction(system: StrongSystem, selection: NeutralSelection) -> OpTabl
                 f"selection is not coherent: map ({a}, {b}) sends {chosen[a]} "
                 f"to {sent[a, b]}, not {chosen[b]}"
             )
-    rebased = []
-    for g, e in zip(system.groups, chosen):
-        times_e = g.cayley.values[g.position(e) :: g.order]  # column e maps p to p * e
-        power = [_power(times_e, p, system.arity - 2) for p in range(g.order)]
-        rebased += [power[r] for r in g.cayley.values]
-    return _compose_system(system, 2, rebased)
+    # x . y walks p -> p * e from p = x * y: each cell starts at (x * y, e)
+    sizes = np.array([g.order for g in system.groups])
+    offset, table_class, _, _ = _table_cells(sizes)
+    e = np.array([g.position(x) for g, x in zip(system.groups, chosen)])[table_class]
+    start = offset[table_class] + system._cayleys * sizes[table_class] + e
+    return _compose_system(system, 2, _powers(system._cayleys, sizes, start, system.arity - 2))
 
 
 def decide_reducible(system: StrongSystem, verify: bool = True):
@@ -93,41 +95,30 @@ def decide_reducible(system: StrongSystem, verify: bool = True):
     """
     if verify:
         require_valid_system(system)
-    k, image = system.quotient.size, system.image
+    k, image, classes = system.quotient.size, system.image, system.partition.classes
     uppers, order = system.quotient.uppers, system.quotient._top_down
     selection: list[int | None] = [None] * k
     failures: dict[int, tuple[set[int], set[tuple[int, int]]]] = {}
-
-    def search(idx: int) -> bool:
-        if idx == k:
-            return True
-        c = order[idx]
-        if not uppers[c]:
-            for e in system.partition.classes[c]:
-                selection[c] = e
-                if search(idx + 1):
-                    return True
-            selection[c] = None
-            return False
-        images = set()
-        sources = []
-        for d in uppers[c]:
-            images.add(image[selection[d] * k + c])
-            sources.append((d, selection[d]))
-        if len(images) == 1:
-            selection[c] = images.pop()
-            if search(idx + 1):
-                return True
-            selection[c] = None
-            return False
-        bucket = failures.setdefault(c, (set(), set()))
-        bucket[0].update(images)
-        bucket[1].update(sources)
-        return False
-
-    if search(0):
-        chosen = NeutralSelection(tuple(selection))
-        return Reduction(chosen, build_reduction(system, chosen))
+    # depth first on an explicit stack: stack[i] holds the untried choices
+    # at class order[i], given the classes above it; order[0] is maximal
+    stack = [iter(classes[order[0]])]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            continue
+        selection[order[len(stack) - 1]] = e
+        if len(stack) == k:
+            chosen = NeutralSelection(tuple(selection))
+            return Reduction(chosen, build_reduction(system, chosen))
+        c = order[len(stack)]  # every member if maximal, else the one image forced
+        images = {image[selection[d] * k + c] for d in uppers[c]}
+        if len(images) > 1:
+            bucket = failures.setdefault(c, (set(), set()))
+            bucket[0].update(images)
+            bucket[1].update((d, selection[d]) for d in uppers[c])
+            images = set()
+        stack.append(iter(images if uppers[c] else classes[c]))
     witness = min(failures)
     images, sources = failures[witness]
     return Irreducible(witness, tuple(sorted(images)), tuple(sorted(sources)))

@@ -7,7 +7,6 @@ validates a system given independently, and serializes both ways.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .optable import (
     _orbit_values,
     _read_only,
     _strides,
-    check_associative,
-    check_symmetric,
     require_band,
     symmetric_table,
 )
@@ -72,103 +69,135 @@ class ClassGroup:
         return self.cayley.values[i * self.order + j]
 
 
-def _power(f, x: int, count: int) -> int:
-    """f, a sequence of positions, applied count >= 0 times to x as the step
-    loop would, in at most len(f) + 1 steps: the walk stops at its first
-    repeated position and indexes into the cycle."""
-    seen = {}  # position: step
-    while len(seen) < count and x not in seen:
-        seen[x] = len(seen)
-        x = f[x]
-    if len(seen) < count:  # x is back at step seen[x]
-        path, start = list(seen), seen[x]
-        x = path[start + (count - start) % (len(path) - start)]
-    return x
-
-
-def _orders(values, size, neutral):
+def _invariant_factors(values, size, neutral):
+    """The factors d1 | ... | dr of the Abelian group with table values: those
+    that a power q of a prime p divides number log_p N(q) / N(q / p), where
+    N(d) counts the elements whose order divides d."""
     orders = []
     for x in range(size):
-        p = x
-        count = 1
+        p, order = x, 1
         while p != neutral:
-            p = values[p * size + x]
-            count += 1
-            if count > size:
-                raise ConsistencyError("power chain never reaches the neutral element")
-        orders.append(count)
-    return orders
-
-
-def _invariant_factors(values, size, neutral):
-    if size == 1:
-        return ()
-    orders = _orders(values, size, neutral)
-    top = max(orders)
-    gen = orders.index(top)
-    cyclic = [neutral]
-    p = values[neutral * size + gen]
-    while p != neutral:
-        cyclic.append(p)
-        p = values[p * size + gen]
-    coset_of = {}
-    reps = []
-    for x in range(size):
-        if x in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for h in cyclic:
-            coset_of[values[x * size + h]] = cid
-    count = len(reps)
-    quot = [
-        coset_of[values[reps[i] * size + reps[j]]] for i in range(count) for j in range(count)
-    ]
-    return _invariant_factors(quot, count, coset_of[neutral]) + (top,)
+            p, order = values[p * size + x], order + 1
+        orders.append(order)
+    factors, rest, p = [1] * size.bit_length(), max(orders), 2
+    while rest > 1:
+        q, below = p, 1
+        while rest % p == 0:
+            count = sum(q % o == 0 for o in orders)
+            rank = next(r for r in range(size.bit_length()) if below * p**r >= count)
+            factors[:rank] = [f * p for f in factors[:rank]]
+            rest, q, below = rest // p, q * p, count
+        p += 1
+    return tuple(sorted(f for f in factors if f > 1))
 
 
 def invariant_factors(table: OpTable, neutral: int = 0) -> tuple[int, ...]:
     """Invariant-factor signature (d1, ..., dr), d1 | d2 | ... | dr, of a
     finite Abelian group given by its Cayley table and identity index.
 
-    Derived by repeatedly splitting off a cyclic subgroup of maximal order.
-    The table must be a commutative group table; cheap symptoms of anything
-    else raise ConsistencyError.
+    Derived by counting the elements of each prime-power order.  A table
+    that is no Abelian group with identity neutral raises ConsistencyError
+    naming the first law it fails (_failed_group_laws, exponent aside).
     """
     if table.arity != 2:
         raise InputError("group table must be binary")
     if not 0 <= neutral < table.size:
         raise InputError(f"neutral index {neutral} out of range")
-    k = table.size
-    full = list(range(k))
-    for x in range(k):
-        if sorted(table.values[x * k : (x + 1) * k]) != full:
-            raise ConsistencyError(f"row {x} is not a permutation; not a group table")
-        for y in range(x):
-            if table.values[x * k + y] != table.values[y * k + x]:
-                raise ConsistencyError("table is not commutative")
-    return _invariant_factors(table.values, k, neutral)
+    k = np.array([table.size])
+    failed = _failed_group_laws(np.array(table.values), k, np.array([neutral]), 2)
+    if failed and failed[0][1] != "group-exponent":
+        raise ConsistencyError(f"not an Abelian group table: {failed[0][2]}")
+    return _invariant_factors(table.values, table.size, neutral)
 
 
-def _failed_group_laws(cayley: OpTable, e_pos: int, n: int):
+def _table_cells(sizes):
+    """Where the tables of classes of orders sizes sit, laid end to end as in
+    StrongSystem._cayleys: class c's table starts at offset[c], and cell i
+    is the product of positions rows[i] and cols[i] in class table_class[i]."""
+    offset = np.cumsum(sizes**2) - sizes**2
+    table_class = np.repeat(np.arange(len(sizes)), sizes**2)
+    rows, cols = np.divmod(np.arange(len(table_class)) - offset[table_class], sizes[table_class])
+    return offset, table_class, rows, cols
+
+
+def _powers(cayleys, sizes, at, count: int):
+    """Walks in the class tables laid end to end (_table_cells): from each
+    cell at = (p, x), the position reached after count >= 0 steps
+    p -> p * x.  Cell (p, x) steps to cell (p * x, x), and the step map is
+    raised to count by squaring, so a walk takes log(count) gathers."""
+    offset, table_class, rows, cols = _table_cells(sizes)
+    step = offset[table_class] + cayleys * sizes[table_class] + cols
+    while count:
+        at, step, count = (step[at] if count & 1 else at), step[step], count >> 1
+    return rows[at]
+
+
+def _failed_group_laws(cay, sizes, neutrals, n: int) -> list[tuple[int, str, str]]:
     """The laws of an Abelian group with exponent dividing n-1 that the
-    binary table cayley, with neutral position e_pos, fails, each as
-    (code, message), in the order identity, commutativity, associativity,
-    inverses, exponent.  A generator, so the first failure costs no more
-    checks."""
-    k = cayley.size
-    cay = cayley.values
-    if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
-        yield "group-identity", "neutral does not act as identity"
-    if check_symmetric(cayley) is not None:
-        yield "group-commutative", "operation is not commutative"
-    if check_associative(cayley) is not None:
-        yield "group-associative", "operation is not associative"
-    if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
-        yield "group-inverse", "some element has no inverse"
-    # column i maps p to p * i: i^(n-1) is its (n-2)-th power at i
-    if any(_power(cay[i::k], i, n - 2) != e_pos for i in range(k)):
-        yield "group-exponent", f"exponent does not divide {n - 1}"
+    class tables of positions cay, end to end (_table_cells), fail, as
+    (class, code, message): class first, then identity, commutativity,
+    associativity, inverses, exponent.  Class c has order sizes[c] and
+    neutral position neutrals[c].  Each law is one pass over all the tables;
+    associativity takes one row of every class at a time, so no array
+    outgrows the tables."""
+    offset, table_class, rows, cols = _table_cells(sizes)
+    base, size, e = offset[table_class], sizes[table_class], neutrals[table_class]
+    failed = np.zeros((len(sizes), 5), dtype=bool)
+    failed[table_class[((rows == e) & (cay != cols)) | ((cols == e) & (cay != rows))], 0] = True
+    failed[table_class[cay != cay[base + cols * size + rows]], 1] = True
+    # (i * j) * l against i * (j * l) for each cell (j, l), one i at a time:
+    # with the cells by falling class order, those of orders above i lead
+    by_order = np.argsort(-size, kind="stable")
+    b, s, j, l, jl = base[by_order], size[by_order], rows[by_order], cols[by_order], cay[by_order]
+    for i in range(int(sizes.max(initial=0))):
+        live = np.count_nonzero(s > i)
+        row_i = b[:live] + i * s[:live]
+        left = cay[b[:live] + cay[row_i + j[:live]] * s[:live] + l[:live]]
+        failed[table_class[by_order[:live][left != cay[row_i + jl[:live]]]], 2] = True
+    row_start = (cols == 0).nonzero()[0]  # each row of a table is one run of cells
+    failed[table_class[row_start[~np.logical_or.reduceat(cay == e, row_start)]], 3] = True
+    diagonal = (rows == cols).nonzero()[0]  # x^(n-1) walks p -> p * x from x
+    failed[table_class[diagonal[_powers(cay, sizes, diagonal, n - 2) != e[diagonal]]], 4] = True
+    laws = (
+        ("group-identity", "neutral does not act as identity"),
+        ("group-commutative", "operation is not commutative"),
+        ("group-associative", "operation is not associative"),
+        ("group-inverse", "some element has no inverse"),
+        ("group-exponent", f"exponent does not divide {n - 1}"),
+    )
+    return [(c, *laws[law]) for c, law in np.argwhere(failed).tolist()]
+
+
+def _class_groups(t: OpTable, classes, neutrals, indices) -> list[ClassGroup]:
+    """The group on each of the sorted member tuples classes, with neutral
+    e = neutrals[c]: x * y = t(x, e, ..., e, y), all read in one gather from
+    t.  Raises the ConsistencyError of the first class that is not closed or
+    fails a group law at t's arity (closure first within a class);
+    indices[c] names class c in messages and in its ClassGroup."""
+    sizes = np.array([len(c) for c in classes])
+    order, start = np.concatenate(classes), np.cumsum(sizes) - sizes
+    slot = np.full(t.size, -1)  # slot[order[i]] = i
+    slot[order] = np.arange(len(order))
+    offset, table_class, rows, cols = _table_cells(sizes)
+    first, strides = start[table_class], _strides(t.size, t.arity)
+    xs, ys, es = order[first + rows], order[first + cols], np.asarray(neutrals)[table_class]
+    codes = (xs * strides[0] + es * sum(strides[1:-1]) + ys).tolist()
+    products = np.fromiter(map(t.values.__getitem__, codes), np.intp, len(codes))
+    cayleys = slot[products] - first  # outside 0..size-1 when the product leaves the class
+    escaped = ((cayleys < 0) | (cayleys >= sizes[table_class])).nonzero()[0]
+    open_class = table_class[escaped[0]] if len(escaped) else len(classes)  # the first not closed
+    e_pos, closed = slot[neutrals] - start, table_class < open_class
+    failed = _failed_group_laws(cayleys[closed], sizes[:open_class], e_pos[:open_class], t.arity)
+    if failed:
+        raise ConsistencyError(f"class {indices[failed[0][0]]}: {failed[0][2]}")
+    if len(escaped):
+        i = escaped[0]
+        raise ConsistencyError(f"class is not closed: ({xs[i]}, {ys[i]}) -> {products[i]}")
+    tables = [(len(c), v.tolist()) for c, v in zip(classes, np.split(cayleys, offset[1:]))]
+    return [
+        ClassGroup(i, c, e, OpTable(2, k, tuple(v)), _invariant_factors(v, k, p))
+        for i, c, e, p, (k, v) in zip(indices, classes, neutrals, e_pos.tolist(), tables)
+    ]
 
 
 def class_group(t: OpTable, members, e: int | None = None, index: int = 0) -> ClassGroup:
@@ -185,30 +214,10 @@ def class_group(t: OpTable, members, e: int | None = None, index: int = 0) -> Cl
     for x in members:
         if not 0 <= x < t.size:
             raise InputError(f"member {x} outside the carrier")
-    if e is None:
-        e = members[0]
+    e = members[0] if e is None else e
     if e not in members:
         raise InputError(f"neutral candidate {e} is not a member")
-    k = len(members)
-    pos = {x: i for i, x in enumerate(members)}
-    strides = _strides(t.size, t.arity)
-    mid = e * sum(strides[1:-1])
-    values = []
-    for x in members:
-        row = x * strides[0] + mid
-        for y in members:
-            v = t.values[row + y]
-            if v not in pos:
-                raise ConsistencyError(f"class is not closed: ({x}, {y}) -> {v}")
-            values.append(pos[v])
-    cayley = OpTable(2, k, tuple(values))
-    failed = next(_failed_group_laws(cayley, pos[e], t.arity), None)
-    if failed is not None:
-        raise ConsistencyError(f"class {index}: {failed[1]}")
-    sig = invariant_factors(cayley, pos[e])
-    if math.prod(sig) != k or any((t.arity - 1) % d != 0 for d in sig):
-        raise ConsistencyError(f"factor signature {sig} inconsistent with class of order {k}")
-    return ClassGroup(index, members, e, cayley, sig)
+    return _class_groups(t, [members], [e], [index])[0]
 
 
 @dataclass(frozen=True)
@@ -288,12 +297,11 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
     # the class groups as one table of elements per system: product[s, x, y]
     # is x * y when x and y share a class (other cells are never read)
+    sizes = np.array([len(c) for c in members])
+    order, (_, table_class, rows, cols) = np.concatenate(members), _table_cells(sizes)
+    first = (np.cumsum(sizes) - sizes)[table_class]
     product = np.zeros((len(meet), m, m), dtype=np.intp)
-    start = 0
-    for c in map(np.asarray, members):
-        table = cayley[:, start : start + len(c) ** 2].reshape(-1, len(c), len(c))
-        product[:, c[:, None], c] = c[table]
-        start += len(c) ** 2
+    product[:, order[first + rows], order[first + cols]] = order[first + cayley]
     row = np.arange(len(meet))[:, None]
     alpha = arg_classes[:, 0]
     for j in range(1, n):
@@ -332,9 +340,9 @@ def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
     associated band B(x, y) = t(x, ..., x, y), then certified.
 
     Classes are B's equal rows; the meet, and the image of x in a class at
-    or below its own, are B on the least members of the classes; class
-    groups take their least member as neutral (any gives the same
-    extensions).  By the structure theorem t is a band iff this system is
+    or below its own, are B on the least members of the classes; the class
+    groups, read from t in one gather, take their least member as neutral
+    (any gives the same extensions).  By the structure theorem t is a band iff this system is
     valid and composes back to t, so that is the only check: a band is
     never scanned.  Any other t raises the ConsistencyError of the first
     failed step or, with verify, require_band's DomainError and witness.
@@ -346,13 +354,13 @@ def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
         least, class_ids = [c[0] for c in partition.classes], np.arange(partition.size)
         meet = class_of[band[np.ix_(least, least)]]
         semilattice = QuotientSemilattice(OpTable(2, len(least), tuple(meet.ravel().tolist())))
-        groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
+        groups = _class_groups(t, partition.classes, least, range(partition.size))
         below = semilattice._leq[class_of]  # below[x, c]: c is at or below the class of x
         image = np.where(below, band[least].T, -1)
         if (below & (class_of[image] != class_ids)).any():
             raise ConsistencyError("a translation image escapes its class")
         system = StrongSystem(t.arity, partition, semilattice, groups, image.ravel().tolist())
-        # class_group has checked the group laws at t's arity: the maps remain
+        # _class_groups has checked the group laws at t's arity: the maps remain
         failed = next(_failed_hom_laws(system, t.arity), None)
         if failed is not None:
             raise ConsistencyError(f"decomposed system fails validation: {': '.join(failed)}")
@@ -380,38 +388,38 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
     n = system.arity if arity is None else arity
     if not isinstance(n, int) or n < 2:
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
+    sizes, neutrals = np.array([(g.order, g.position(g.neutral)) for g in system.groups]).T
     out = [
-        Violation(code, f"class {g.class_index}: {message}")
-        for g in system.groups
-        for code, message in _failed_group_laws(g.cayley, g.position(g.neutral), n)
+        Violation(code, f"class {c}: {message}")
+        for c, code, message in _failed_group_laws(system._cayleys, sizes, neutrals, n)
     ]
     return out + [Violation(*law) for law in _failed_hom_laws(system, n)]
 
 
 def _failed_hom_laws(system: StrongSystem, n: int):
     """validate_system's laws of the connecting maps that system fails at
-    arity n, as (code, message), a generator like _failed_group_laws.  The
-    laws are gathers over the maps into one lower class at a time, so no
-    array outgrows the m x k image matrix or the class tables."""
+    arity n, as (code, message), a generator.  The laws are gathers over
+    the maps into one lower class at a time, so no array outgrows the m x k
+    image matrix or the class tables."""
     image, cayleys, groups = system._image, system._cayleys, system.groups
     k, elements = len(groups), np.arange(system.size)
     class_of, sizes = np.asarray(system.partition.class_of), np.array([g.order for g in groups])
     order = np.argsort(class_of, kind="stable")  # the classes' members end to end
-    start, offset = np.cumsum(sizes) - sizes, np.cumsum(sizes**2) - sizes**2
+    start = np.cumsum(sizes) - sizes
     position = np.argsort(order) - start[class_of]  # of each element in its class
     above, leq = image != -1, system.quotient._leq  # leq[b, c]: c <= b
     phi = np.where(above, position[image], 0)  # phi[x, b]: position of x's image in b, or 0
     # cell i of the class tables, of class pair_class[i], is x * y: xs, ys, xys
-    pair_class = np.repeat(np.arange(k), sizes**2)
-    cell, first = np.arange(len(cayleys)) - offset[pair_class], start[pair_class]
-    xs, ys = order[first + cell // sizes[pair_class]], order[first + cell % sizes[pair_class]]
-    xys = order[first + cayleys]
+    offset, pair_class, rows, cols = _table_cells(sizes)
+    first = start[pair_class]
+    xs, ys, xys = order[first + rows], order[first + cols], order[first + cayleys]
     # phi is an n-ary hom between class extensions iff, for x, y in the
     # upper class, phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the lower class
-    tail = np.zeros((k, k), dtype=np.intp)  # tail[a, b] = phi(e_a)^(n-2) in b
-    for a, b in system.quotient.comparable_pairs() if n > 2 else []:
-        p = int(phi[groups[a].neutral, b])  # column p of b's table maps q to q * p
-        tail[a, b] = _power(groups[b].cayley.values[p :: groups[b].order], p, n - 3)
+    # tail[a, b] = phi(e_a)^(n-2) in b <= a: n - 3 steps q -> q * p from p = phi(e_a)
+    hi, lo = leq.nonzero()
+    tail = np.zeros((k, k), dtype=np.intp)
+    p = phi[[g.neutral for g in groups]][hi, lo]
+    tail[hi, lo] = _powers(cayleys, sizes, offset[lo] + p * sizes[lo] + p, max(n - 3, 0))
     # (a, b, law): map (a, b) breaks law 0, identity, or law 1, multiplicativity
     failed = {(a, a, 0) for a in class_of[image[elements, class_of] != elements].tolist()}
     incoherent = set()

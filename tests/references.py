@@ -20,7 +20,6 @@ from narybands import (
     check_associative,
     check_idempotent,
     check_symmetric,
-    class_group,
     extend,
     invariant_factors,
     lambda_table,
@@ -28,7 +27,6 @@ from narybands import (
     require_band,
 )
 from narybands.bandcore import _rows_sigma
-from narybands.structure import _failed_group_laws
 
 
 def covers_reference(q):
@@ -95,41 +93,53 @@ def hom_steps_reference(meet):
     return tuple(steps)
 
 
-def group_law_violations_reference(system, n):
-    """validate_system's group-law checks, one block per class group, as
-    (code, message) pairs."""
+def group_laws_reference(cayley, e_pos, n):
+    """The laws of an Abelian group with exponent dividing n-1 that the
+    binary table cayley with neutral position e_pos fails, cell by cell, as
+    (code, message) pairs in the order identity, commutativity,
+    associativity, inverses, exponent."""
+    k, cay = cayley.size, cayley.values
     out = []
-    for g in system.groups:
-        k = g.order
-        cay = g.cayley.values
-        e_pos = g.position(g.neutral)
-        label = f"class {g.class_index}"
-        if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
-            out.append(("group-identity", f"{label}: neutral does not act as identity"))
-        commutative = all(cay[i * k + j] == cay[j * k + i] for i in range(k) for j in range(k))
-        if not commutative:
-            out.append(("group-commutative", f"{label}: operation is not commutative"))
-        if any(
-            cay[cay[i * k + j] * k + l] != cay[i * k + cay[j * k + l]]
-            for i in range(k)
-            for j in range(k)
-            for l in range(k)
-        ):
-            out.append(("group-associative", f"{label}: operation is not associative"))
-        if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
-            out.append(("group-inverse", f"{label}: some element has no inverse"))
-        if any(power_reference(g, i, n - 1) != e_pos for i in range(k)):
-            out.append(("group-exponent", f"{label}: exponent does not divide {n - 1}"))
+    if any(cay[e_pos * k + i] != i or cay[i * k + e_pos] != i for i in range(k)):
+        out.append(("group-identity", "neutral does not act as identity"))
+    if not all(cay[i * k + j] == cay[j * k + i] for i in range(k) for j in range(k)):
+        out.append(("group-commutative", "operation is not commutative"))
+    if any(
+        cay[cay[i * k + j] * k + l] != cay[i * k + cay[j * k + l]]
+        for i in range(k)
+        for j in range(k)
+        for l in range(k)
+    ):
+        out.append(("group-associative", "operation is not associative"))
+    if any(e_pos not in cay[i * k : (i + 1) * k] for i in range(k)):
+        out.append(("group-inverse", "some element has no inverse"))
+    if any(power_reference(cayley, i, n - 1) != e_pos for i in range(k)):
+        out.append(("group-exponent", f"exponent does not divide {n - 1}"))
     return out
 
 
-def power_reference(g, i, count):
-    """The count-fold product of the element at position i of class group
-    g, one product at a time (count >= 1)."""
-    acc = i
-    for _ in range(count - 1):
-        acc = g.cayley.values[acc * g.order + i]
-    return acc
+def group_law_violations_reference(system, n):
+    """validate_system's group-law checks, one block per class group, as
+    (code, message) pairs."""
+    return [
+        (code, f"class {g.class_index}: {message}")
+        for g in system.groups
+        for code, message in group_laws_reference(g.cayley, g.position(g.neutral), n)
+    ]
+
+
+def power_reference(cayley, i, count):
+    """The count-fold product ((i * i) * i) * ... of position i in the
+    binary table cayley (count >= 1), one product at a time until a
+    product repeats, then read off the cycle the products run in."""
+    products = [i]  # products[s] is the (s + 1)-fold product
+    while len(products) < count:
+        nxt = cayley.values[products[-1] * cayley.size + i]
+        if nxt in products:
+            start = products.index(nxt)
+            return products[start + (count - 1 - start) % (len(products) - start)]
+        products.append(nxt)
+    return products[count - 1]
 
 
 def pair_maps_reference(system):
@@ -257,7 +267,7 @@ def hom_violations_reference(system, n):
         # phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the target group
         gu, gl = system.groups[a], system.groups[b]
         shift = gl.position(hom[gu.neutral])
-        tail = power_reference(gl, shift, n - 2) if n > 2 else None
+        tail = power_reference(gl.cayley, shift, n - 2) if n > 2 else None
 
         def rhs(x, y):
             r = gl.op_position(gl.position(hom[x]), gl.position(hom[y]))
@@ -325,8 +335,8 @@ def neutral_elements_reference(t):
 
 
 def class_group_reference(t, members, e=None, index=0):
-    """class_group reading each cell t(x, e, ..., e, y) through t.eval, the
-    checks after the cell reads shared with the library."""
+    """class_group reading each cell t(x, e, ..., e, y) through t.eval and
+    checking the laws cell by cell (group_laws_reference)."""
     members = tuple(sorted(members))
     if e is None:
         e = members[0]
@@ -342,9 +352,9 @@ def class_group_reference(t, members, e=None, index=0):
                 raise ConsistencyError(f"class is not closed: ({x}, {y}) -> {v}")
             values.append(pos[v])
     cayley = OpTable(2, len(members), tuple(values))
-    failed = next(_failed_group_laws(cayley, pos[e], t.arity), None)
-    if failed is not None:
-        raise ConsistencyError(f"class {index}: {failed[1]}")
+    failed = group_laws_reference(cayley, pos[e], t.arity)
+    if failed:
+        raise ConsistencyError(f"class {index}: {failed[0][1]}")
     sig = invariant_factors(cayley, pos[e])
     if math.prod(sig) != len(members) or any((t.arity - 1) % d != 0 for d in sig):
         raise ConsistencyError(f"factor signature {sig} inconsistent with class of order {len(members)}")
@@ -399,7 +409,8 @@ def decompose_reference(t, verify=True):
     lam = lambda_table(t, verify=False)
     partition = _rows_sigma(lam)
     _, _, semilattice = quotient(t, partition)
-    groups = tuple(class_group(t, c, index=i) for i, c in enumerate(partition.classes))
+    classes = enumerate(partition.classes)
+    groups = tuple(class_group_reference(t, c, index=i) for i, c in classes)
     image = image_matrix_reference(lam.rows, partition, semilattice)
     return StrongSystem(t.arity, partition, semilattice, groups, image)
 

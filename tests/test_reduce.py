@@ -1,18 +1,23 @@
 import importlib
 import itertools
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from narybands import (
+    ClassGroup,
     InputError,
     Irreducible,
     NeutralSelection,
     OpTable,
+    QuotientSemilattice,
     Reduction,
     ResourceError,
+    SigmaPartition,
+    StrongSystem,
     associated_band,
     brute_force_reductions,
     build_reduction,
@@ -54,6 +59,32 @@ def test_decide_irreducible_golden(f1):
     assert out.witness_class == 2
     assert out.conflicting_images == (2, 3)
     assert out.sources == ((0, 0), (1, 1))
+
+
+def test_decide_reducible_needs_no_stack_frame_per_class():
+    # m - 1 one-element atoms over a one-element bottom, built as a system:
+    # more classes than the stack has frames left, and the search still
+    # walks them all and reduces the band to its own meet table
+    m = 300
+    meet = OpTable(2, m, tuple(a if a == b else 0 for a in range(m) for b in range(m)))
+    system = StrongSystem(
+        2,
+        SigmaPartition(tuple(range(m)), tuple((x,) for x in range(m))),
+        QuotientSemilattice(meet),
+        tuple(ClassGroup(x, (x,), x, OpTable(2, 1, (0,)), ()) for x in range(m)),
+        [c if c in (0, x) else -1 for x in range(m) for c in range(m)],
+    )
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        out = decide_reducible(system, verify=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.selection.by_class == tuple(range(m))
+    assert out.table == meet
 
 
 def test_decide_reducible_golden(f2):

@@ -3,6 +3,7 @@ import functools
 import importlib
 import itertools
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -16,6 +17,7 @@ from narybands import (
     ClassGroup,
     ConsistencyError,
     DomainError,
+    GroupSpec,
     InputError,
     OpTable,
     QuotientSemilattice,
@@ -32,6 +34,8 @@ from narybands import (
     hom_maps,
     invariant_factors,
     lambda_table,
+    make_group,
+    relabel,
     sigma_partition,
     system_from_doc,
     system_from_json,
@@ -43,8 +47,9 @@ from narybands import (
     validate_system,
     verify_reduction,
 )
+from narybands.compose import _factor_multisets
 from narybands.optable import symmetric_table
-from narybands.structure import _power
+from narybands.structure import _powers
 
 from conftest import NON_BAND_DOCS, outcome, perturbed, perturbed_multisets, random_tables
 from references import (
@@ -93,6 +98,18 @@ def test_invariant_factors_divisibility():
 def test_invariant_factors_respects_neutral_argument():
     shifted = table_from_function(2, 3, lambda x, y: (x + y - 2) % 3)
     assert invariant_factors(shifted, neutral=2) == (3,)
+
+
+def test_invariant_factors_of_every_relabeled_group_type():
+    # every Abelian group type of order up to 48, its elements shuffled and
+    # its neutral moved: the signature is the type make_group was built from
+    rng = random.Random(71)
+    exponents = math.lcm(*range(1, 49))
+    for order in range(1, 49):
+        for factors in _factor_multisets(order, exponents):
+            perm = rng.sample(range(order), order)
+            table = relabel(make_group(GroupSpec(order, factors), exponents + 1), perm)
+            assert invariant_factors(table, perm[0]) == tuple(factors)
 
 
 def test_invariant_factors_rejects_non_group():
@@ -153,18 +170,20 @@ def test_class_group_position_api(f1):
 
 
 def test_power_walk_matches_the_step_loop():
-    # the walk indexes into the cycle its sequence runs into: random maps,
-    # mostly no permutation, have tails before their cycles, and counts up
-    # to 60 wrap every cycle of six positions or fewer many times
+    # the walks square their step map: random maps, mostly no permutation,
+    # have tails before their cycles, and counts up to 60 wrap every cycle
+    # of six positions or fewer many times.  A table whose every column is
+    # f steps p -> p * x = f(p), so the walk from cell (x, x) iterates f on x
     rng = random.Random(47)
     for _ in range(100):
         f = [rng.randrange(6) for _ in range(rng.randint(1, 6))]
         f = [p % len(f) for p in f]
-        for x in range(len(f)):
-            expected = x
-            for count in range(61):
-                assert _power(f, x, count) == expected
-                expected = f[expected]
+        k = len(f)
+        table, diagonal = np.repeat(f, k), np.arange(k) * (k + 1)
+        expected = list(range(k))
+        for count in range(61):
+            assert _powers(table, np.array([k]), diagonal, count).tolist() == expected
+            expected = [f[p] for p in expected]
 
 
 def test_class_group_rejects_non_class(f1):
@@ -542,8 +561,10 @@ def test_decompose_matches_the_reference_on_fixtures():
 
 def test_decompose_never_scans_a_band(monkeypatch, f1, f2, min3, xor3):
     # the certificate stands in for the band scan and for quotient's loop
-    # over every cell: on a band neither runs, and t itself is never
-    # checked for associativity (the meet and the class groups still are)
+    # over every cell: on a band neither runs, no table is checked for
+    # associativity (the meet is checked as an order, the class groups by
+    # one array pass), and the class groups are read in one gather, not
+    # by class_group
     calls = []
 
     def counting(name, original):
@@ -555,15 +576,19 @@ def test_decompose_never_scans_a_band(monkeypatch, f1, f2, min3, xor3):
 
     for module in ("narybands", "optable", "bandcore", "structure", "compose", "reduce"):
         module = importlib.import_module(module if module == "narybands" else f"narybands.{module}")
-        for name in ("quotient", "require_band", "check_associative"):
+        for name in ("quotient", "require_band", "check_associative", "class_group"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for t in (f1, f2, min3, xor3):
         for verify in (True, False):
             decompose(t, verify)
             hom_maps(t, verify)
-        assert [(name, arg) for name, arg in calls if arg is t or name != "check_associative"] == []
-    assert calls
+    assert calls == []
+    # the spies are in place: a table that is no band takes the band scan
+    t = OpTable(2, 2, (0, 0, 1, 1))  # x * y = x is not symmetric
+    with pytest.raises(DomainError):
+        decompose(t)
+    assert ("require_band", t) in calls
 
 
 def reported(system, n):
@@ -712,6 +737,46 @@ def test_group_laws_match_the_reference_on_broken_tables(law, message, rows, neu
     assert (f"group-{law}", "class 0: " + message.format(n - 1)) in got
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10**9 + 1])
+def test_group_laws_report_class_by_class(n):
+    # one system, a trivial bottom under an antichain of classes that each
+    # break another law (Z3 with neutral 1, S3, a non-associative table, a
+    # table without inverses, Z3, whose exponent 3 divides no n - 1 here,
+    # and Z2, whose identity map swaps its members): the whole report, class
+    # by class and law by law, then the maps
+    tables = [
+        ([[0]], 0),
+        ([[(x + y) % 3 for y in range(3)] for x in range(3)], 1),
+        ([[_s3(x, y) for y in range(6)] for x in range(6)], 0),
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0),
+        ([[0, 1], [1, 1]], 0),
+        ([[(x + y) % 3 for y in range(3)] for x in range(3)], 0),
+        ([[0, 1], [1, 0]], 0),
+    ]
+    classes, groups, start = [], [], 0
+    for c, (rows, neutral) in enumerate(tables):
+        members = tuple(range(start, start + len(rows)))
+        cayley = OpTable(2, len(rows), tuple(v for row in rows for v in row))
+        classes.append(members)
+        groups.append(ClassGroup(c, members, members[neutral], cayley, ()))
+        start += len(rows)
+    k, class_of = len(classes), [c for c, members in enumerate(classes) for _ in members]
+    image = [-1] * (start * k)
+    for x, c in enumerate(class_of):
+        image[x * k] = 0
+        image[x * k + c] = x
+    image[18 * k + 6], image[19 * k + 6] = 19, 18
+    meet = OpTable(2, k, tuple(a if a == b else 0 for a in range(k) for b in range(k)))
+    partition = SigmaPartition(tuple(class_of), tuple(classes))
+    system = StrongSystem(n, partition, QuotientSemilattice(meet), tuple(groups), image)
+    got = reported(system, n)
+    assert got == references(system, n)
+    laws = ["identity", "commutative", "associative", "inverse", "exponent"]
+    broken = {(f"class {c}", f"group-{law}") for c, law in enumerate(laws, 1)}
+    assert broken <= {(message.split(":")[0], code) for code, message in got}
+    assert ("hom-identity", "map (6, 6) is not the identity") in got
+
+
 def test_map_laws_stay_within_the_image_matrix():
     # a binary band is its own semilattice, so 300 atoms over a bottom give
     # m = k = 301: the map laws gather into one lower class at a time, and
@@ -730,8 +795,9 @@ def test_map_laws_stay_within_the_image_matrix():
 
 def test_many_classes_never_scan_the_meet(monkeypatch):
     # the 301 classes of the band of atoms over a bottom: the semilattice
-    # checks its meet as an order, so the only tables check_associative
-    # sees on the way through the structure layer are the 1 x 1 class groups
+    # checks its meet as an order and the class groups' laws are one array
+    # pass, so check_associative sees no table on the way through the
+    # structure layer
     m = 301
     t = table_from_function(2, m, lambda x, y: x if x == y else 0)
     scanned = []
@@ -749,7 +815,7 @@ def test_many_classes_never_scan_the_meet(monkeypatch):
     system = system_from_json(system_to_json(system))[0]
     assert validate_system(system) == []
     assert decide_reducible(system).reducible
-    assert system.quotient.size == m and scanned and max(scanned) == 1
+    assert system.quotient.size == m and scanned == []
 
 
 def test_product_bands_match_their_factors():
