@@ -49,9 +49,6 @@ class LambdaTable:
                 if row[row[y]] != row[y]:
                     raise ConsistencyError(f"row {x} is not idempotent as a map")
 
-    def row(self, x: int) -> tuple[int, ...]:
-        return self.rows[x]
-
 
 @dataclass(frozen=True)
 class SigmaPartition:
@@ -145,25 +142,24 @@ class QuotientSemilattice:
         return list(zip(*(axis.tolist() for axis in (steps > steps @ steps).nonzero())))
 
 
+def _band_rows(t: OpTable) -> tuple[tuple[int, ...], ...]:
+    """The rows of B(x, y) = t(x, ..., x, y): row x is the m cells from (x, ..., x, 0)."""
+    m, step = t.size, sum(_strides(t.size, t.arity)[:-1])
+    return tuple(t.values[x * step : x * step + m] for x in range(m))
+
+
 def associated_band(t: OpTable, verify: bool = True) -> OpTable:
     """Binary table B(x, y) = t(x, ..., x, y)."""
     if verify:
         require_band(t)
-    m = t.size
-    # row x is the m cells from (x, ..., x, 0)
-    step = sum(_strides(m, t.arity)[:-1])
-    values = []
-    for x in range(m):
-        values.extend(t.values[x * step : x * step + m])
-    return OpTable(2, m, tuple(values))
+    return OpTable(2, t.size, tuple(itertools.chain.from_iterable(_band_rows(t))))
 
 
 def lambda_table(t: OpTable, verify: bool = True) -> LambdaTable:
     """Translation maps of t, one row per element."""
-    band = associated_band(t, verify=verify)
-    m = t.size
-    rows = tuple(tuple(band.values[x * m : (x + 1) * m]) for x in range(m))
-    return LambdaTable(m, rows)
+    if verify:
+        require_band(t)
+    return LambdaTable(t.size, _band_rows(t))
 
 
 def check_right_normal(band: OpTable):
@@ -220,32 +216,30 @@ def _rows_sigma(lam: LambdaTable) -> SigmaPartition:
 def quotient(t: OpTable, partition: SigmaPartition):
     """Class-level tables (t_quotient, band_quotient, semilattice).
 
-    Every combination of representatives is folded through the partition;
-    a representative-dependent cell means `partition` is not a congruence
-    for t and raises ConsistencyError.
+    Each table is read in one gather: a tuple of classes takes the class of
+    the cell of their least members, and every cell must fall in the class
+    its classes take; else `partition` is not a congruence for t, and the
+    first representative-dependent tuple of classes raises ConsistencyError.
     """
     if len(partition.class_of) != t.size:
         raise InputError("partition size does not match table size")
-    k = partition.size
-    class_of = partition.class_of
+    k, class_of = partition.size, np.asarray(partition.class_of)
+    least = np.array([c[0] for c in partition.classes])
 
     def classwise(table: OpTable) -> OpTable:
-        out = []
-        for cls_args in itertools.product(range(k), repeat=table.arity):
-            result = None
-            for combo in itertools.product(*(partition.classes[c] for c in cls_args)):
-                code = 0
-                for a in combo:
-                    code = code * table.size + a
-                got = class_of[table.values[code]]
-                if result is None:
-                    result = got
-                elif got != result:
-                    raise ConsistencyError(
-                        f"cell {cls_args} depends on representatives; not a congruence"
-                    )
-            out.append(result)
-        return OpTable(table.arity, k, tuple(out))
+        # classes[i]: the number of cell i's tuple of classes; firsts[j]: the
+        # cell of the least members of the j-th tuple of classes
+        classes, firsts = class_of, least
+        for _ in range(table.arity - 1):
+            classes = np.add.outer(classes * k, class_of).ravel()
+            firsts = np.add.outer(firsts * table.size, least).ravel()
+        got = class_of[np.asarray(table.values)]
+        out = got[firsts]
+        wrong = classes[out[classes] != got]
+        if len(wrong):
+            cls_args = tuple(map(int, np.unravel_index(wrong.min(), (k,) * table.arity)))
+            raise ConsistencyError(f"cell {cls_args} depends on representatives; not a congruence")
+        return OpTable(table.arity, k, tuple(out.tolist()))
 
     t_quotient = classwise(t)
     band_quotient = classwise(associated_band(t, verify=False))

@@ -23,7 +23,9 @@ from .optable import (
     _require_index,
     symmetric_table,
 )
-from .structure import StrongSystem, _compose_orbits, _compose_system, require_valid_system
+from .structure import (
+    StrongSystem, _compose_orbits, _compose_system, _table_cells, require_valid_system
+)
 
 ENUMERATE_SIZE_LIMIT = 5
 BRUTE_CANDIDATE_BUDGET = 2**21
@@ -450,7 +452,8 @@ def enumerate_bands(m: int, n: int, up_to_iso: bool = False) -> BandCatalog:
                         for x, p in zip(classes[g], pmap):
                             image[x * k + c] = starts[c] + p
                     systems.append((q._meet, cayley, image))
-        blocks.append(_compose_orbits(n, class_of, classes, *zip(*systems)).astype(np.uint8))
+        layout = _table_cells(classes, m)
+        blocks.append(_compose_orbits(n, class_of, layout, *zip(*systems)).astype(np.uint8))
     orbits = np.concatenate(blocks)
     if len(set(map(bytes, orbits))) < len(orbits):
         raise ConsistencyError("two distinct systems composed equal")

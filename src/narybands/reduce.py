@@ -9,11 +9,9 @@ checking.  The independent oracle is a forcing search over binary tables.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, ResourceError, Violation
 from .optable import OpTable, check_associative, check_symmetric, extend, table_to_doc
-from .structure import StrongSystem, _compose_system, _powers, _table_cells, require_valid_system
+from .structure import StrongSystem, _compose_system, _powers, require_valid_system
 
 REDUCTION_CANDIDATE_BUDGET = 2**21
 
@@ -78,11 +76,10 @@ def build_reduction(system: StrongSystem, selection: NeutralSelection) -> OpTabl
                 f"to {sent[a, b]}, not {chosen[b]}"
             )
     # x . y walks p -> p * e from p = x * y: each cell starts at (x * y, e)
-    sizes = np.array([g.order for g in system.groups])
-    offset, table_class, _, _ = _table_cells(sizes)
-    e = np.array([g.position(x) for g, x in zip(system.groups, chosen)])[table_class]
-    start = offset[table_class] + system._cayleys * sizes[table_class] + e
-    return _compose_system(system, 2, _powers(system._cayleys, sizes, start, system.arity - 2))
+    layout, cayleys = system._layout, system._cayleys
+    cell_class, e = layout.table_class, layout.slot[list(chosen)] - layout.start
+    start = layout.offset[cell_class] + cayleys * layout.sizes[cell_class] + e[cell_class]
+    return _compose_system(system, 2, _powers(cayleys, layout, start, system.arity - 2))
 
 
 def decide_reducible(system: StrongSystem, verify: bool = True):

@@ -7,6 +7,7 @@ validates a system given independently, and serializes both ways.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .optable import (
     require_band,
     symmetric_table,
 )
+
+_Layout = namedtuple("_Layout", "sizes order start slot offset table_class rows cols")
 
 
 @dataclass(frozen=True)
@@ -103,45 +106,52 @@ def invariant_factors(table: OpTable, neutral: int = 0) -> tuple[int, ...]:
         raise InputError("group table must be binary")
     if not 0 <= neutral < table.size:
         raise InputError(f"neutral index {neutral} out of range")
-    k = np.array([table.size])
-    failed = _failed_group_laws(np.array(table.values), k, np.array([neutral]), 2)
+    layout = _table_cells([range(table.size)], table.size)
+    failed = _failed_group_laws(np.array(table.values), layout, np.array([neutral]), 2)
     if failed and failed[0][1] != "group-exponent":
         raise ConsistencyError(f"not an Abelian group table: {failed[0][2]}")
     return _invariant_factors(table.values, table.size, neutral)
 
 
-def _table_cells(sizes):
-    """Where the tables of classes of orders sizes sit, laid end to end as in
-    StrongSystem._cayleys: class c's table starts at offset[c], and cell i
-    is the product of positions rows[i] and cols[i] in class table_class[i]."""
+def _table_cells(classes, m: int) -> _Layout:
+    """Where classes (of elements below m) and their tables sit end to end
+    as in StrongSystem._cayleys, as read-only arrays: class c has sizes[c]
+    members from order[start[c]] on, x is order[slot[x]] (slot -1 off the
+    classes), and class c's table starts at offset[c], where cell i is the
+    product of positions rows[i] and cols[i] in class table_class[i]."""
+    sizes, order = np.array([len(c) for c in classes]), np.concatenate(classes)
+    slot = np.full(m, -1)  # slot[order[i]] = i
+    slot[order] = np.arange(len(order))
     offset = np.cumsum(sizes**2) - sizes**2
     table_class = np.repeat(np.arange(len(sizes)), sizes**2)
     rows, cols = np.divmod(np.arange(len(table_class)) - offset[table_class], sizes[table_class])
-    return offset, table_class, rows, cols
+    layout = _Layout(sizes, order, np.cumsum(sizes) - sizes, slot, offset, table_class, rows, cols)
+    _read_only(*layout)
+    return layout
 
 
-def _powers(cayleys, sizes, at, count: int):
-    """Walks in the class tables laid end to end (_table_cells): from each
+def _powers(cayleys, layout: _Layout, at, count: int):
+    """Walks in the class tables laid end to end as layout says: from each
     cell at = (p, x), the position reached after count >= 0 steps
     p -> p * x.  Cell (p, x) steps to cell (p * x, x), and the step map is
     raised to count by squaring, so a walk takes log(count) gathers."""
-    offset, table_class, rows, cols = _table_cells(sizes)
-    step = offset[table_class] + cayleys * sizes[table_class] + cols
+    table_class = layout.table_class
+    step = layout.offset[table_class] + cayleys * layout.sizes[table_class] + layout.cols
     while count:
         at, step, count = (step[at] if count & 1 else at), step[step], count >> 1
-    return rows[at]
+    return layout.rows[at]
 
 
-def _failed_group_laws(cay, sizes, neutrals, n: int) -> list[tuple[int, str, str]]:
+def _failed_group_laws(cay, layout: _Layout, neutrals, n: int) -> list[tuple[int, str, str]]:
     """The laws of an Abelian group with exponent dividing n-1 that the
-    class tables of positions cay, end to end (_table_cells), fail, as
+    class tables of positions cay, end to end as layout says, fail, as
     (class, code, message): class first, then identity, commutativity,
-    associativity, inverses, exponent.  Class c has order sizes[c] and
-    neutral position neutrals[c].  Each law is one pass over all the tables;
-    associativity takes one row of every class at a time, so no array
-    outgrows the tables."""
-    offset, table_class, rows, cols = _table_cells(sizes)
-    base, size, e = offset[table_class], sizes[table_class], neutrals[table_class]
+    associativity, inverses, exponent.  Class c has neutral position
+    neutrals[c].  Each law is one pass over all the tables; associativity
+    takes one row of every class at a time, so no array outgrows the
+    tables."""
+    sizes, table_class, rows, cols = layout.sizes, layout.table_class, layout.rows, layout.cols
+    base, size, e = layout.offset[table_class], sizes[table_class], neutrals[table_class]
     failed = np.zeros((len(sizes), 5), dtype=bool)
     failed[table_class[((rows == e) & (cay != cols)) | ((cols == e) & (cay != rows))], 0] = True
     failed[table_class[cay != cay[base + cols * size + rows]], 1] = True
@@ -157,7 +167,7 @@ def _failed_group_laws(cay, sizes, neutrals, n: int) -> list[tuple[int, str, str
     row_start = (cols == 0).nonzero()[0]  # each row of a table is one run of cells
     failed[table_class[row_start[~np.logical_or.reduceat(cay == e, row_start)]], 3] = True
     diagonal = (rows == cols).nonzero()[0]  # x^(n-1) walks p -> p * x from x
-    failed[table_class[diagonal[_powers(cay, sizes, diagonal, n - 2) != e[diagonal]]], 4] = True
+    failed[table_class[diagonal[_powers(cay, layout, diagonal, n - 2) != e[diagonal]]], 4] = True
     laws = (
         ("group-identity", "neutral does not act as identity"),
         ("group-commutative", "operation is not commutative"),
@@ -174,26 +184,24 @@ def _class_groups(t: OpTable, classes, neutrals, indices) -> list[ClassGroup]:
     t.  Raises the ConsistencyError of the first class that is not closed or
     fails a group law at t's arity (closure first within a class);
     indices[c] names class c in messages and in its ClassGroup."""
-    sizes = np.array([len(c) for c in classes])
-    order, start = np.concatenate(classes), np.cumsum(sizes) - sizes
-    slot = np.full(t.size, -1)  # slot[order[i]] = i
-    slot[order] = np.arange(len(order))
-    offset, table_class, rows, cols = _table_cells(sizes)
-    first, strides = start[table_class], _strides(t.size, t.arity)
-    xs, ys, es = order[first + rows], order[first + cols], np.asarray(neutrals)[table_class]
-    codes = (xs * strides[0] + es * sum(strides[1:-1]) + ys).tolist()
+    layout = _table_cells(classes, t.size)
+    order, table_class, strides = layout.order, layout.table_class, _strides(t.size, t.arity)
+    first, size, es = layout.start[table_class], layout.sizes[table_class], np.asarray(neutrals)
+    xs, ys = order[first + layout.rows], order[first + layout.cols]
+    codes = (xs * strides[0] + es[table_class] * sum(strides[1:-1]) + ys).tolist()
     products = np.fromiter(map(t.values.__getitem__, codes), np.intp, len(codes))
-    cayleys = slot[products] - first  # outside 0..size-1 when the product leaves the class
-    escaped = ((cayleys < 0) | (cayleys >= sizes[table_class])).nonzero()[0]
+    cayleys = layout.slot[products] - first  # outside 0..size-1 when the product leaves the class
+    escaped = ((cayleys < 0) | (cayleys >= size)).nonzero()[0]
     open_class = table_class[escaped[0]] if len(escaped) else len(classes)  # the first not closed
-    e_pos, closed = slot[neutrals] - start, table_class < open_class
-    failed = _failed_group_laws(cayleys[closed], sizes[:open_class], e_pos[:open_class], t.arity)
-    if failed:
+    e_pos = layout.slot[neutrals] - layout.start
+    # the classes before open_class are closed, so clipping leaves their laws as they are
+    failed = _failed_group_laws(np.clip(cayleys, 0, size - 1), layout, e_pos, t.arity)
+    if failed and failed[0][0] < open_class:
         raise ConsistencyError(f"class {indices[failed[0][0]]}: {failed[0][2]}")
     if len(escaped):
         i = escaped[0]
         raise ConsistencyError(f"class is not closed: ({xs[i]}, {ys[i]}) -> {products[i]}")
-    tables = [(len(c), v.tolist()) for c, v in zip(classes, np.split(cayleys, offset[1:]))]
+    tables = [(len(c), v.tolist()) for c, v in zip(classes, np.split(cayleys, layout.offset[1:]))]
     return [
         ClassGroup(i, c, e, OpTable(2, k, tuple(v)), _invariant_factors(v, k, p))
         for i, c, e, p, (k, v) in zip(indices, classes, neutrals, e_pos.tolist(), tables)
@@ -229,9 +237,11 @@ class StrongSystem:
     is decided at and validation and composition default to.  image holds
     every connecting map as one flat m x k matrix of elements:
     image[x * k + c] is the image of x in class c if c is at or below the
-    class of x, else -1.  Built, a system holds its data as the three
-    read-only arrays _compose_orbits takes: _image, the m x k matrix; _meet,
-    the quotient's own k x k meet; _cayleys, the class tables end to end.
+    class of x, else -1.  Built, a system holds its data as the read-only
+    arrays _compose_orbits takes: _image, the m x k matrix; _meet, the
+    quotient's own k x k meet; _cayleys, the class tables end to end; and
+    _layout, where its classes and their tables sit (_table_cells), with
+    _neutrals, the position of each class's neutral.
     """
 
     arity: int
@@ -267,8 +277,11 @@ class StrongSystem:
             a, b = min(zip(class_of[xs].tolist(), cs.tolist()))
             raise InputError(f"hom ({a}, {b}) maps outside class {b}")
         cayleys = np.array([v for g in groups for v in g.cayley.values], dtype=np.intp)
-        _read_only(matrix, cayleys)
-        for name, array in {"_image": matrix, "_meet": meet, "_cayleys": cayleys}.items():
+        layout = _table_cells(self.partition.classes, m)
+        neutrals = layout.slot[[g.neutral for g in groups]] - layout.start
+        _read_only(matrix, cayleys, neutrals)
+        arrays = {"_image": matrix, "_meet": meet, "_cayleys": cayleys, "_neutrals": neutrals}
+        for name, array in {**arrays, "_layout": layout}.items():
             object.__setattr__(self, name, array)
 
     @property
@@ -276,12 +289,12 @@ class StrongSystem:
         return len(self.partition.class_of)
 
 
-def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray":
+def _compose_orbits(n, class_of, layout, meets, cayleys, images) -> "np.ndarray":
     """Values on the argument multisets of arity n of the bands composed
     from systems on the same classes, one row per system.
 
-    class_of[x] is the class of element x; class c has the elements
-    members[c], in position order.  System s has the k x k meet table
+    class_of[x] is the class of element x; the classes and their tables sit
+    as layout says (_table_cells).  System s has the k x k meet table
     meets[s], its class groups' flat tables of positions laid end to end
     in cayleys[s], and the m x k matrix images[s] (flat or not): the image
     of x in class c, an element, for every c at or below the class of x;
@@ -289,7 +302,7 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     classes and its images are multiplied there: the meet is commutative
     and the groups are Abelian, so one value per multiset fixes the table.
     """
-    m, k = len(class_of), len(members)
+    m, k = len(class_of), len(layout.sizes)
     args = _multiset_args(m, n)
     arg_classes = np.asarray(class_of, dtype=np.intp)[args]
     meet = np.asarray(meets, dtype=np.intp).reshape(-1, k, k)
@@ -297,11 +310,9 @@ def _compose_orbits(n, class_of, members, meets, cayleys, images) -> "np.ndarray
     image = np.asarray(images, dtype=np.intp).reshape(len(meet), m, k)
     # the class groups as one table of elements per system: product[s, x, y]
     # is x * y when x and y share a class (other cells are never read)
-    sizes = np.array([len(c) for c in members])
-    order, (_, table_class, rows, cols) = np.concatenate(members), _table_cells(sizes)
-    first = (np.cumsum(sizes) - sizes)[table_class]
+    order, first = layout.order, layout.start[layout.table_class]
     product = np.zeros((len(meet), m, m), dtype=np.intp)
-    product[:, order[first + rows], order[first + cols]] = order[first + cayley]
+    product[:, order[first + layout.rows], order[first + layout.cols]] = order[first + cayley]
     row = np.arange(len(meet))[:, None]
     alpha = arg_classes[:, 0]
     for j in range(1, n):
@@ -316,8 +327,8 @@ def _compose_system(system: StrongSystem, n: int, cayleys) -> OpTable:
     """The symmetric table of arity n composed from system (_compose_orbits)
     through the class tables cayleys: flat tables of positions laid end to
     end in class order, the class groups' own or re-based ones."""
-    p = system.partition
-    orbits = _compose_orbits(n, p.class_of, p.classes, system._meet, cayleys, system._image)
+    class_of = system.partition.class_of
+    orbits = _compose_orbits(n, class_of, system._layout, system._meet, cayleys, system._image)
     return symmetric_table(n, system.size, orbits[0])
 
 
@@ -365,7 +376,7 @@ def decompose(t: OpTable, verify: bool = True) -> StrongSystem:
         if failed is not None:
             raise ConsistencyError(f"decomposed system fails validation: {': '.join(failed)}")
         composed = _compose_orbits(
-            t.arity, class_of, partition.classes, system._meet, system._cayleys, system._image
+            t.arity, class_of, system._layout, system._meet, system._cayleys, system._image
         )[0]
         orbits = _orbit_values(t)
         if orbits is None or not np.array_equal(composed, orbits):
@@ -388,11 +399,8 @@ def validate_system(system: StrongSystem, arity: int | None = None) -> list[Viol
     n = system.arity if arity is None else arity
     if not isinstance(n, int) or n < 2:
         raise InputError(f"arity must be an integer >= 2, got {n!r}")
-    sizes, neutrals = np.array([(g.order, g.position(g.neutral)) for g in system.groups]).T
-    out = [
-        Violation(code, f"class {c}: {message}")
-        for c, code, message in _failed_group_laws(system._cayleys, sizes, neutrals, n)
-    ]
+    failed = _failed_group_laws(system._cayleys, system._layout, system._neutrals, n)
+    out = [Violation(code, f"class {c}: {message}") for c, code, message in failed]
     return out + [Violation(*law) for law in _failed_hom_laws(system, n)]
 
 
@@ -401,25 +409,22 @@ def _failed_hom_laws(system: StrongSystem, n: int):
     arity n, as (code, message), a generator.  The laws are gathers over
     the maps into one lower class at a time, so no array outgrows the m x k
     image matrix or the class tables."""
-    image, cayleys, groups = system._image, system._cayleys, system.groups
-    k, elements = len(groups), np.arange(system.size)
-    class_of, sizes = np.asarray(system.partition.class_of), np.array([g.order for g in groups])
-    order = np.argsort(class_of, kind="stable")  # the classes' members end to end
-    start = np.cumsum(sizes) - sizes
-    position = np.argsort(order) - start[class_of]  # of each element in its class
+    image, cayleys, layout = system._image, system._cayleys, system._layout
+    sizes, offset, pair_class = layout.sizes, layout.offset, layout.table_class
+    k, elements = len(sizes), np.arange(system.size)
+    class_of = np.asarray(system.partition.class_of)
     above, leq = image != -1, system.quotient._leq  # leq[b, c]: c <= b
-    phi = np.where(above, position[image], 0)  # phi[x, b]: position of x's image in b, or 0
+    phi = np.where(above, layout.slot[image] - layout.start, 0)  # x's image's position in b, or 0
     # cell i of the class tables, of class pair_class[i], is x * y: xs, ys, xys
-    offset, pair_class, rows, cols = _table_cells(sizes)
-    first = start[pair_class]
-    xs, ys, xys = order[first + rows], order[first + cols], order[first + cayleys]
+    order, first = layout.order, layout.start[pair_class]
+    xs, ys, xys = order[first + layout.rows], order[first + layout.cols], order[first + cayleys]
     # phi is an n-ary hom between class extensions iff, for x, y in the
     # upper class, phi(x * y) = phi(x) * phi(y) * phi(e)^(n-2) in the lower class
     # tail[a, b] = phi(e_a)^(n-2) in b <= a: n - 3 steps q -> q * p from p = phi(e_a)
     hi, lo = leq.nonzero()
     tail = np.zeros((k, k), dtype=np.intp)
-    p = phi[[g.neutral for g in groups]][hi, lo]
-    tail[hi, lo] = _powers(cayleys, sizes, offset[lo] + p * sizes[lo] + p, max(n - 3, 0))
+    p = phi[[g.neutral for g in system.groups]][hi, lo]
+    tail[hi, lo] = _powers(cayleys, layout, offset[lo] + p * sizes[lo] + p, max(n - 3, 0))
     # (a, b, law): map (a, b) breaks law 0, identity, or law 1, multiplicativity
     failed = {(a, a, 0) for a in class_of[image[elements, class_of] != elements].tolist()}
     incoherent = set()

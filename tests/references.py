@@ -21,12 +21,12 @@ from narybands import (
     check_idempotent,
     check_symmetric,
     extend,
+    QuotientSemilattice,
+    SigmaPartition,
     invariant_factors,
     lambda_table,
-    quotient,
     require_band,
 )
-from narybands.bandcore import _rows_sigma
 
 
 def covers_reference(q):
@@ -399,19 +399,57 @@ def image_matrix_reference(band, partition, semilattice):
     return tuple(image.ravel().tolist())
 
 
+def quotient_reference(t, partition):
+    """quotient by folding every combination of representatives through the
+    partition, one tuple of classes at a time, on t and on its associated
+    band read digit by digit (associated_band_reference)."""
+    if len(partition.class_of) != t.size:
+        raise InputError("partition size does not match table size")
+    k = partition.size
+    class_of = partition.class_of
+
+    def classwise(table):
+        out = []
+        for cls_args in itertools.product(range(k), repeat=table.arity):
+            result = None
+            for combo in itertools.product(*(partition.classes[c] for c in cls_args)):
+                code = 0
+                for a in combo:
+                    code = code * table.size + a
+                got = class_of[table.values[code]]
+                if result is None:
+                    result = got
+                elif got != result:
+                    raise ConsistencyError(
+                        f"cell {cls_args} depends on representatives; not a congruence"
+                    )
+            out.append(result)
+        return OpTable(table.arity, k, tuple(out))
+
+    t_quotient = classwise(t)
+    band_quotient = classwise(associated_band_reference(t))
+    return t_quotient, band_quotient, QuotientSemilattice(band_quotient)
+
+
 def decompose_reference(t, verify=True):
-    """decompose by checking first: the band scan, then the sigma classes,
-    the meet from quotient's loop over every cell of t and of its
-    associated band, the class groups and the connecting maps checked
+    """decompose by checking first: the band scan, then the sigma classes
+    as the equal rows of B(x, y) = t(x, ..., x, y) read through t.eval,
+    the meet from quotient_reference's loop over every cell of t and of
+    its associated band, the class groups and the connecting maps checked
     cell by cell, with no check that the system composes back to t."""
     if verify:
         require_band(t)
-    lam = lambda_table(t, verify=False)
-    partition = _rows_sigma(lam)
-    _, _, semilattice = quotient(t, partition)
-    classes = enumerate(partition.classes)
-    groups = tuple(class_group_reference(t, c, index=i) for i, c in classes)
-    image = image_matrix_reference(lam.rows, partition, semilattice)
+    m, n = t.size, t.arity
+    rows = [tuple(t.eval((x,) * (n - 1) + (y,)) for y in range(m)) for x in range(m)]
+    by_row = {}
+    for x, row in enumerate(rows):
+        by_row.setdefault(row, []).append(x)
+    classes = sorted(tuple(c) for c in by_row.values())
+    class_of = [next(i for i, c in enumerate(classes) if x in c) for x in range(m)]
+    partition = SigmaPartition(class_of, classes)
+    _, _, semilattice = quotient_reference(t, partition)
+    groups = tuple(class_group_reference(t, c, index=i) for i, c in enumerate(classes))
+    image = image_matrix_reference(rows, partition, semilattice)
     return StrongSystem(t.arity, partition, semilattice, groups, image)
 
 

@@ -27,6 +27,7 @@ from conftest import outcome, perturbed, perturbed_multisets, random_tables, rel
 from references import (
     associated_band_reference,
     classify_reference,
+    quotient_reference,
     semilattice_laws_reference,
 )
 
@@ -160,6 +161,33 @@ def test_quotient_rejects_non_congruence(f1):
     bad = SigmaPartition((0, 0, 1, 1), ((0, 1), (2, 3)))
     with pytest.raises(ConsistencyError):
         quotient(f1, bad)
+
+
+def random_partition(rng, m):
+    """All singletons, one class, or a seeded random labeling, its classes
+    listed by least member."""
+    labels = rng.choice([list(range(m)), [0] * m, [rng.randrange(m) for _ in range(m)]])
+    classes = sorted({tuple(x for x in range(m) if labels[x] == c) for c in labels})
+    class_of = [next(i for i, c in enumerate(classes) if x in c) for x in range(m)]
+    return SigmaPartition(class_of, classes)
+
+
+def test_quotient_matches_the_reference(catalog_tables):
+    # the gathers against the loop over every choice of representatives:
+    # the same three tables, or the same error type and message (the first
+    # representative-dependent tuple of classes), on every catalog band's
+    # sigma partition, on one-cell perturbations of those bands under the
+    # same partitions, and on seeded random (table, partition) pairs
+    rng = random.Random(29)
+    pairs = [(t, sigma_partition(t)) for t in catalog_tables]
+    pairs += [(u, p) for u, (_, p) in zip(perturbed(catalog_tables, 29), pairs)]
+    pairs += [(t, random_partition(rng, t.size)) for t in random_tables(29, 3000)]
+    accepted = 0
+    for t, p in pairs:
+        got = outcome(quotient, t, p)
+        assert got == outcome(quotient_reference, t, p)
+        accepted += len(got) == 3
+    assert 0 < accepted < len(pairs)
 
 
 def test_quotient_semilattice_validation():

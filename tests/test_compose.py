@@ -660,14 +660,14 @@ def test_batched_compose_matches_one_system_calls(monkeypatch, n, labeled):
     kernel = compose_module._compose_orbits
     batches = []
 
-    def checking(arity, class_of, members, meets, cayleys, images):
-        out = kernel(arity, class_of, members, meets, cayleys, images)
+    def checking(arity, class_of, layout, meets, cayleys, images):
+        out = kernel(arity, class_of, layout, meets, cayleys, images)
         alone = [
-            kernel(arity, class_of, members, [meet], [cayley], [image])[0]
+            kernel(arity, class_of, layout, [meet], [cayley], [image])[0]
             for meet, cayley, image in zip(meets, cayleys, images)
         ]
         assert np.array_equal(out, np.array(alone))
-        batches.append(({len(c) for c in members}, len(meets)))
+        batches.append((set(layout.sizes.tolist()), len(meets)))
         return out
 
     monkeypatch.setattr(compose_module, "_compose_orbits", checking)

@@ -25,6 +25,7 @@ from narybands import (
     StrongSystem,
     associated_band,
     band_violation,
+    build_reduction,
     class_group,
     compose,
     decide_reducible,
@@ -49,7 +50,7 @@ from narybands import (
 )
 from narybands.compose import _factor_multisets
 from narybands.optable import symmetric_table
-from narybands.structure import _powers
+from narybands.structure import _powers, _table_cells
 
 from conftest import NON_BAND_DOCS, outcome, perturbed, perturbed_multisets, random_tables
 from references import (
@@ -58,6 +59,8 @@ from references import (
     group_law_violations_reference,
     hom_violations_reference,
     multiset_index_reference,
+    FIXTURE_FACTS,
+    fixture_band,
     pair_maps_reference,
     product_corpus,
 )
@@ -182,7 +185,7 @@ def test_power_walk_matches_the_step_loop():
         table, diagonal = np.repeat(f, k), np.arange(k) * (k + 1)
         expected = list(range(k))
         for count in range(61):
-            assert _powers(table, np.array([k]), diagonal, count).tolist() == expected
+            assert _powers(table, _table_cells([range(k)], k), diagonal, count).tolist() == expected
             expected = [f[p] for p in expected]
 
 
@@ -837,6 +840,37 @@ def test_product_bands_match_their_factors():
         assert outcome.reducible == facts["reducible"], name
         if outcome.reducible:
             assert verify_reduction(t, outcome.table) == [], name
+
+
+def test_a_system_works_out_its_class_layout_once(monkeypatch):
+    # _table_cells is the one place that works out where the classes and
+    # their tables sit: decompose calls it twice (the class groups' gather,
+    # then the system it builds), and nothing that reads a built system
+    # calls it again, on the band fixtures and on the product bands
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _table_cells(*args)
+
+    for name in ("structure", "compose", "reduce"):
+        module = importlib.import_module(f"narybands.{name}")
+        if hasattr(module, "_table_cells"):
+            monkeypatch.setattr(module, "_table_cells", counting)
+    bands = [fixture_band(name)[0] for name in FIXTURE_FACTS]
+    for values in bands + [values for _, values, _ in product_corpus(61)]:
+        t = OpTable(values.ndim, len(values), tuple(values.ravel().tolist()))
+        calls.clear()
+        system = decompose(t)
+        assert len(calls) <= 2
+        calls.clear()
+        validate_system(system)
+        compose(system)
+        system_to_doc(system)
+        outcome = decide_reducible(system)
+        if outcome.reducible:
+            build_reduction(system, outcome.selection)
+        assert calls == []
 
 
 @pytest.mark.parametrize(
